@@ -203,6 +203,7 @@ class HeapBuildCache:
         heap = ManagedHeap(config=entry["config"])
         checkpoint: HeapCheckpoint = entry["checkpoint"]
         sparse = entry.get("words_sparse")
+        indices = None
         if sparse is not None:
             # Current format: densify the sparse words snapshot in place.
             n_words, indices, values = sparse
@@ -210,8 +211,10 @@ class HeapBuildCache:
             words[indices] = values
             checkpoint.words = words
         # else: legacy entry (e.g. an old on-disk cache file) carrying the
-        # dense array — usable as-is.
-        heap.restore(checkpoint)
+        # dense array — usable as-is. The fresh heap's memory has never
+        # been snapshotted, so the restore copies only the blocks that are
+        # dirty or nonzero in the snapshot.
+        heap.restore(checkpoint, indices)
         rng = None
         if entry["rng_state"] is not None:
             rng = random.Random()

@@ -261,8 +261,12 @@ class ManagedHeap:
             bytes_allocated=self.allocator.bytes_allocated,
         )
 
-    def restore(self, checkpoint: HeapCheckpoint) -> None:
-        self.memsys.phys.restore(checkpoint.words)
+    def restore(self, checkpoint: HeapCheckpoint,
+                nonzero: Optional[np.ndarray] = None) -> None:
+        """Return to ``checkpoint``; ``nonzero``, the indices of its nonzero
+        words if the caller holds them, is passed to
+        :meth:`PhysicalMemory.restore`."""
+        self.memsys.phys.restore(checkpoint.words, nonzero)
         self.mark_parity = checkpoint.mark_parity
         self.allocator.alloc_mark_value = checkpoint.alloc_mark_value
         self.allocator._fresh_cursor = checkpoint.fresh_cursor

@@ -40,6 +40,16 @@ class DRAMConfig:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.n_banks < 1 or self.row_bytes < 64:
             raise ValueError("invalid DRAM geometry")
+        # A window below 1 hides every queued request, so the controller
+        # re-arms its wakeup forever; a bus below 1 B/cycle divides by zero.
+        for name in ("read_window", "write_window", "bus_bytes_per_cycle"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{getattr(self, name)}")
+        for name in ("t_cas", "t_rcd", "t_rp", "t_ras"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got "
+                                 f"{getattr(self, name)}")
 
 
 @dataclass

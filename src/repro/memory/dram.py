@@ -15,17 +15,33 @@ followed by a data-bus occupancy of ``ceil(size / 16B)`` cycles (DDR3-2000
 peak bandwidth is 16 GB/s). ``t_ras`` limits back-to-back activates to the
 same bank. FR-FCFS prefers row hits (oldest first), then the oldest request,
 with reads prioritized over writes; FIFO is strict arrival order.
+
+Scheduling is one pump (``_pump``) per wakeup. A pick is one pass over
+each visible window (the first 16 reads and 8 writes) that finds the
+oldest ready entry, the oldest ready row hit, how many entries are ready
+and the earliest time a busy bank frees. A dispatch leaves its bank busy
+for the rest of the wakeup, so after dispatching the only ready entry
+the next pick could find nothing but the request the dispatch slid into
+the window: the pump checks that one entry instead of passing over the
+windows again, and a lone queued request skips arbitration altogether.
+The pump then sleeps until the earliest bank-free time it saw. Stats
+attribution (the completion event's name, per-source and per-kind
+counters) is looked up once per request at submit and carried in the
+queue entry.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional
 
 from repro.engine.simulator import Event, Simulator
 from repro.engine.stats import BandwidthTracker, IntervalTracker, StatsRegistry
 from repro.memory.config import DRAMConfig
 from repro.memory.request import AccessKind, MemRequest
+
+_READ = AccessKind.READ
+_WRITE = AccessKind.WRITE
 
 
 class DRAMController:
@@ -50,20 +66,22 @@ class DRAMController:
         self._bank_row: List[Optional[int]] = [None] * config.n_banks
         self._bank_activate: List[int] = [-(10**9)] * config.n_banks
         self._bus_free_at = 0
-        # Queue entries are (request, completion event, bank index, row):
-        # the bank/row decode is done once at submit so the scheduler's
-        # scans never recompute it.
-        self._reads: Deque[Tuple[MemRequest, Event, int, int]] = deque()
-        self._writes: Deque[Tuple[MemRequest, Event, int, int]] = deque()
+        # Queue entries are (request, completion event, bank index, row,
+        # account): the bank/row decode and the stats lookup are done once
+        # at submit so the scheduler's passes never recompute them.
+        self._reads: Deque[tuple] = deque()
+        self._writes: Deque[tuple] = deque()
         self._next_pump_at: Optional[int] = None
-        self._submit_counters: dict = {}
-        self._ev_names: dict = {}
+        # Per kind, source -> its account; see :meth:`_account`.
+        self._read_accounts: dict = {}
+        self._write_accounts: dict = {}
+        self._amo_accounts: dict = {}
         self._c_activates = self.stats.counter("dram.activates")
         self._c_bytes_read = self.stats.counter("dram.bytes_read")
         self._c_bytes_written = self.stats.counter("dram.bytes_written")
-        # Scheduler-hot config fields, captured once: the scan/pick/dispatch
-        # loops run per pump wakeup and dominate DRAM model cost, so they
-        # must not chase ``self.config.<field>`` attribute chains.
+        # Scheduler-hot config fields, captured once: the pump and dispatch
+        # run per wakeup and dominate DRAM model cost, so they must not
+        # chase ``self.config.<field>`` attribute chains.
         self._read_window = config.read_window
         self._write_window = config.write_window
         self._fifo = config.scheduler == "fifo"
@@ -79,19 +97,27 @@ class DRAMController:
 
     def submit(self, req: MemRequest) -> Event:
         """Enqueue a request; the returned event triggers at completion."""
-        req.issue_time = self.sim.now
-        name = self._ev_names.get(req.source)
-        if name is None:
-            name = self._ev_names[req.source] = f"dram.{req.source}"
-        event = Event(self.sim, name=name)
-        row_index = req.addr // self._row_bytes
-        queue = self._writes if req.kind is AccessKind.WRITE else self._reads
-        queue.append((req, event, row_index % self._n_banks,
-                      row_index // self._n_banks))
         now = self.sim.now
+        req.issue_time = now
+        kind = req.kind
+        # Identity tests, not a dict keyed by the enum: hashing an enum
+        # member runs Python code on every request.
+        if kind is _WRITE:
+            queue, accounts = self._writes, self._write_accounts
+        elif kind is _READ:
+            queue, accounts = self._reads, self._read_accounts
+        else:
+            queue, accounts = self._reads, self._amo_accounts
+        acct = accounts.get(req.source)
+        if acct is None:
+            acct = accounts[req.source] = self._account(kind, req.source)
+        acct[1].value += 1
+        acct[2].value += 1
+        event = Event(self.sim, acct[0])
+        row_index = req.addr // self._row_bytes
+        queue.append((req, event, row_index % self._n_banks,
+                      row_index // self._n_banks, acct))
         self.request_intervals.record(now)
-        self._record_submit(req)
-        # Inlined _schedule_pump(0): submit is the hottest pump-arming site.
         next_at = self._next_pump_at
         if next_at is None or now < next_at:
             self._next_pump_at = now
@@ -102,104 +128,33 @@ class DRAMController:
     def pending(self) -> int:
         return len(self._reads) + len(self._writes)
 
+    def _account(self, kind: AccessKind, source: str) -> tuple:
+        """Everything ``submit`` and ``_dispatch`` record for one (kind,
+        source): the completion event's name, the per-source request and
+        per-kind counters, whether the bytes count as read / written (an
+        AMO both reads and writes its word), and the kind's trace label."""
+        label = kind.value
+        return (f"dram.{source}",
+                self.stats.counter(f"mem.requests.{source}"),
+                self.stats.counter(f"mem.{label}s.{source}"),
+                kind is not _WRITE,
+                kind is not _READ,
+                label)
+
     # -- scheduling ----------------------------------------------------------
-
-    def _bank_and_row(self, addr: int) -> Tuple[int, int]:
-        """Row-interleaved mapping: consecutive rows hit different banks."""
-        row_index = addr // self.config.row_bytes
-        return row_index % self.config.n_banks, row_index // self.config.n_banks
-
-    def _scan(self, queue, limit: int, now: int):
-        """Oldest ready entry, oldest ready row-hit, and next bank-free time.
-
-        Queue position order *is* issue-time order (requests are appended at
-        submit time), so the first ready entry found is the oldest — no sort
-        needed. Returns ``(first_ready, first_hit, wake)`` where the first
-        two are ``(pos, entry)`` or ``None`` and ``wake`` is the earliest
-        ``busy_until > now`` among scanned busy banks (the next time this
-        window could make progress). ``wake`` is only complete when the scan
-        saw the whole window — i.e. whenever no row hit was found — which is
-        exactly the case the pump uses it in.
-        """
-        busy = self._bank_busy
-        rows = self._bank_row
-        first_ready = None
-        wake = None
-        pos = 0
-        for entry in queue:
-            if pos >= limit:
-                break
-            bank_idx = entry[2]
-            busy_until = busy[bank_idx]
-            if busy_until <= now:
-                if first_ready is None:
-                    first_ready = (pos, entry)
-                if rows[bank_idx] == entry[3]:
-                    return first_ready, (pos, entry), wake
-            elif wake is None or busy_until < wake:
-                wake = busy_until
-            pos += 1
-        return first_ready, None, wake
-
-    def _pick(self, now: int):
-        """The next dispatch as ((is_write, pos, entry) or None, wake).
-
-        FR-FCFS prefers row hits (oldest first), then the oldest ready
-        request; FIFO is strict arrival order. Reads beat writes at equal
-        age in both policies. ``wake`` is the earliest visible bank-free
-        time, valid precisely when the choice is ``None`` (both windows
-        fully scanned), which lets the pump fold the old post-dispatch
-        wakeup re-scan into its final failing pick.
-        """
-        reads = self._reads
-        writes = self._writes
-        # Single-occupant fast path: with one queued request there is no
-        # hit-vs-oldest arbitration — every policy picks it the moment its
-        # bank frees. This is the common case for the blocking CPU phases.
-        if not writes:
-            if len(reads) == 1:
-                entry = reads[0]
-                busy_until = self._bank_busy[entry[2]]
-                if busy_until <= now:
-                    return (False, 0, entry), None
-                return None, busy_until
-        elif not reads and len(writes) == 1:
-            entry = writes[0]
-            busy_until = self._bank_busy[entry[2]]
-            if busy_until <= now:
-                return (True, 0, entry), None
-            return None, busy_until
-        read_ready, read_hit, wake = self._scan(
-            self._reads, self._read_window, now)
-        write_ready, write_hit, wwake = self._scan(
-            self._writes, self._write_window, now)
-        if wwake is not None and (wake is None or wwake < wake):
-            wake = wwake
-        if self._fifo or (read_hit is None and write_hit is None):
-            read, write = read_ready, write_ready
-        else:
-            read, write = read_hit, write_hit
-        if read is None:
-            if write is None:
-                return None, wake
-            return (True,) + write, wake
-        if write is None or read[1][0].issue_time <= write[1][0].issue_time:
-            return (False,) + read, wake
-        return (True,) + write, wake
 
     def _pump(self, target: Optional[int] = None) -> None:
         """Dispatch every ready request, then sleep until a bank frees.
 
-        Batch semantics: one wakeup drains all picks that are ready this
-        cycle (the while loop), so back-to-back hits to open rows issue
-        without intermediate event-queue round trips.
+        One wakeup drains all picks that are ready this cycle, so
+        back-to-back hits to open rows issue without event-queue round
+        trips. The module docstring describes a pick.
 
         A wakeup whose ``target`` no longer matches ``_next_pump_at`` was
         superseded by an earlier one. Such a pump can never dispatch: the
         scheduler window only changes inside pumps, and every completed pump
-        re-arms the earliest useful wakeup for the window it left behind —
-        so the stale pump would scan the queues and find nothing. Returning
-        immediately skips that pointless scan without changing any
+        re-arms the earliest useful wakeup for the window it left behind.
+        Returning at once skips a pointless pass without moving any
         dispatch time.
         """
         if target is not None and target != self._next_pump_at:
@@ -213,22 +168,94 @@ class DRAMController:
             return
         now = self.sim.now
         reads, writes = self._reads, self._writes
-        while True:
-            choice, wake = self._pick(now)
-            if choice is None:
+        busy = self._bank_busy
+        if len(reads) + len(writes) == 1:
+            # A lone request needs no arbitration: every policy issues it
+            # the moment its bank frees. Most wakeups in the blocking CPU
+            # phases see exactly this.
+            queue = reads or writes
+            wake = busy[queue[0][2]]
+            if wake <= now:
+                self._dispatch(queue.popleft(), now)
+            else:
+                self._next_pump_at = wake
+                self.sim.schedule(wake - now, self._pump, wake)
+            return
+        rows = self._bank_row
+        read_window = self._read_window
+        write_window = self._write_window
+        while reads or writes:
+            # Queue order is issue order, so the first ready entry (and the
+            # first ready row hit) found is the oldest. ``wake`` is the
+            # earliest bank-free time among the visible busy entries.
+            wake = None
+            ready = 0
+            read_ready = read_hit = write_ready = write_hit = -1
+            pos = 0
+            for entry in reads:
+                if pos == read_window:
+                    break
+                bank = entry[2]
+                busy_until = busy[bank]
+                if busy_until <= now:
+                    ready += 1
+                    if read_ready < 0:
+                        read_ready = pos
+                    if read_hit < 0 and rows[bank] == entry[3]:
+                        read_hit = pos
+                elif wake is None or busy_until < wake:
+                    wake = busy_until
+                pos += 1
+            pos = 0
+            for entry in writes:
+                if pos == write_window:
+                    break
+                bank = entry[2]
+                busy_until = busy[bank]
+                if busy_until <= now:
+                    ready += 1
+                    if write_ready < 0:
+                        write_ready = pos
+                    if write_hit < 0 and rows[bank] == entry[3]:
+                        write_hit = pos
+                elif wake is None or busy_until < wake:
+                    wake = busy_until
+                pos += 1
+            if not ready:
                 break
-            is_write, pos, entry = choice
-            del (writes if is_write else reads)[pos]
+            # FR-FCFS serves row hits first when either window has one;
+            # FIFO takes the oldest ready entry. Reads win ties on age.
+            if self._fifo or (read_hit < 0 and write_hit < 0):
+                read_pick, write_pick = read_ready, write_ready
+            else:
+                read_pick, write_pick = read_hit, write_hit
+            if read_pick < 0 or (write_pick >= 0
+                                 and reads[read_pick][0].issue_time
+                                 > writes[write_pick][0].issue_time):
+                queue, pos, window = writes, write_pick, write_window
+            else:
+                queue, pos, window = reads, read_pick, read_window
+            entry = queue[pos]
+            del queue[pos]
             self._dispatch(entry, now)
+            if ready > 1:
+                continue
+            # The sole ready entry left, so every other visible entry waits
+            # on a busy bank and ``wake`` still holds. Only the entry the
+            # dispatch slid into the window can be ready now.
+            if len(queue) >= window:
+                busy_until = busy[queue[window - 1][2]]
+                if busy_until <= now:
+                    continue
+                if wake is None or busy_until < wake:
+                    wake = busy_until
+            break
         if reads or writes:
-            if wake is None:
-                # All visible banks are free but nothing was picked: cannot
-                # happen unless the window is empty; guard anyway.
-                wake = now + 1
-            self._schedule_pump(wake - now)
+            self._next_pump_at = wake
+            self.sim.schedule(wake - now, self._pump, wake)
 
     def _dispatch(self, entry: tuple, now: int) -> None:
-        req, event, bank_idx, row = entry
+        req, event, bank_idx, row, acct = entry
         open_row = self._bank_row[bank_idx]
         if open_row == row:
             access_latency = self._t_cas
@@ -246,13 +273,25 @@ class DRAMController:
                 self._bank_activate[bank_idx] = now
             self._bank_row[bank_idx] = row
             self._c_activates.value += 1
-        transfer = max(1, -(-req.size // self._bus_bpc))
-        data_start = max(now + access_latency, self._bus_free_at)
+        size = req.size
+        # Requests are at least one byte, so this is at least one cycle.
+        transfer = -(-size // self._bus_bpc)
+        data_start = now + access_latency
+        if data_start < self._bus_free_at:
+            data_start = self._bus_free_at
         done = data_start + transfer
         self._bus_free_at = done
         self._bank_busy[bank_idx] = done
-        self._record_complete(req, done, transfer)
+        if acct[3]:
+            self._c_bytes_read.value += size
+        if acct[4]:
+            self._c_bytes_written.value += size
+        self.bandwidth.record(done, size, transfer)
         stats = self.stats
+        trace = stats.trace
+        if trace is not None:
+            trace.events.append((now, "req", req.source, acct[5],
+                                 req.addr, size, req.issue_time, done))
         if stats.hwfaults is not None or stats.watchdog is not None:
             self._dispatch_supervised(req, event, now, done)
             return
@@ -307,47 +346,3 @@ class DRAMController:
         self._writes.clear()
         self._next_pump_at = None
         return dropped
-
-    def _schedule_pump(self, delay: int) -> None:
-        """Schedule a pump, keeping only the earliest pending wakeup live.
-
-        Stale (later) pumps still fire off the event queue but carry a
-        ``target`` that no longer matches ``_next_pump_at``, so ``_pump``
-        returns before scanning — a cheap no-op instead of a full window
-        scan per superseded wakeup.
-        """
-        target = self.sim.now + delay
-        if self._next_pump_at is None or target < self._next_pump_at:
-            self._next_pump_at = target
-            self.sim.schedule(delay, self._pump, target)
-
-    # -- statistics ----------------------------------------------------------
-
-    def _record_submit(self, req: MemRequest) -> None:
-        counters = self._submit_counters.get((req.kind, req.source))
-        if counters is None:
-            kind = "write" if req.kind is AccessKind.WRITE else (
-                "amo" if req.kind is AccessKind.AMO else "read"
-            )
-            counters = (
-                self.stats.counter(f"mem.requests.{req.source}"),
-                self.stats.counter(f"mem.{kind}s.{req.source}"),
-            )
-            self._submit_counters[(req.kind, req.source)] = counters
-        counters[0].value += 1
-        counters[1].value += 1
-
-    def _record_complete(self, req: MemRequest, done: int, transfer: int) -> None:
-        if req.kind is AccessKind.AMO:
-            # A fetch-or both reads and writes its word.
-            self._c_bytes_read.value += req.size
-            self._c_bytes_written.value += req.size
-        elif req.kind is AccessKind.WRITE:
-            self._c_bytes_written.value += req.size
-        else:
-            self._c_bytes_read.value += req.size
-        self.bandwidth.record(done, req.size, busy_cycles=transfer)
-        trace = self.stats.trace
-        if trace is not None:
-            trace.events.append((self.sim.now, "req", req.source, req.kind.value,
-                                 req.addr, req.size, req.issue_time, done))

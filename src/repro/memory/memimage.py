@@ -9,11 +9,18 @@ in-memory data structures rather than Python mirrors.
 Timing is handled separately by the DRAM/cache models; see
 :mod:`repro.memory.interconnect` for how functional access and timing are
 paired.
+
+Restores are block-sparse against a *clean point*: the snapshot the image
+last equalled, modulo the blocks written since. A fresh image's clean
+point is the all-zero image, so restoring any snapshot into it copies only
+its dirty blocks and the snapshot's nonzero blocks. A heap-cache hit
+restores into a fresh full-size image that way, without touching the
+pages the heap never uses.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -35,13 +42,14 @@ class PhysicalMemory:
 
     Mutations are tracked at block granularity (:data:`_BLOCK_WORDS` words)
     relative to the current *clean point* — the snapshot the image was last
-    taken from or restored to. :meth:`restore` back to that same snapshot
-    copies only the dirty blocks; restoring a foreign snapshot falls back
-    to a dense copy and re-bases the clean point there. The handful of
-    direct ``words[...] = ...`` writers outside this class (the SoA
-    object-view fast path, the page-table bulk mapper) must call
-    :meth:`note_dirty` — everything else funnels through the write helpers
-    here.
+    taken from or restored to, or all zeros before either happens.
+    :meth:`restore` back to that snapshot copies only the dirty blocks; a
+    foreign snapshot restores into a fresh image by adding its nonzero
+    blocks, and into any other image densely. Either way the clean point
+    re-bases there. The handful of direct ``words[...] = ...`` writers
+    outside this class (the SoA object-view fast path, the page-table bulk
+    mapper) must call :meth:`note_dirty` — everything else funnels through
+    the write helpers here.
     """
 
     def __init__(self, size_bytes: int):
@@ -52,7 +60,8 @@ class PhysicalMemory:
         #: Block indices written since the clean point (see class docstring).
         self._dirty_blocks: set = set()
         #: The snapshot array the image currently equals modulo
-        #: ``_dirty_blocks`` (``None`` until the first snapshot/restore).
+        #: ``_dirty_blocks`` (``None`` until the first snapshot/restore:
+        #: the image is then zero outside ``_dirty_blocks``).
         self._clean_snap = None
 
     def note_dirty(self, index: int, count: int = 1) -> None:
@@ -145,26 +154,36 @@ class PhysicalMemory:
         self._dirty_blocks.clear()
         return snap
 
-    def restore(self, snap: np.ndarray) -> None:
+    def restore(self, snap: np.ndarray, nonzero: Optional[np.ndarray] = None
+                ) -> None:
         """Restore a snapshot taken from this memory.
 
         Restoring the current clean point copies only the blocks written
         since it was established — the common checkpoint/collect/restore/
-        collect pattern of every comparison harness. Any other snapshot is
-        restored densely and becomes the new clean point.
+        collect pattern of every comparison harness. An image that was
+        never snapshotted or restored has the all-zero clean point, so any
+        snapshot restores into it by copying the dirty blocks plus the
+        snapshot's nonzero blocks; ``nonzero`` (the snapshot's nonzero word
+        indices) spares that search when the caller already holds it. Any
+        other snapshot is restored densely. Either way ``snap`` becomes the
+        new clean point.
         """
         if snap.shape != self.words.shape:
             raise ValueError("snapshot shape mismatch")
         dirty = self._dirty_blocks
-        if snap is self._clean_snap:
-            words = self.words
-            for block in dirty:
-                lo = block << _BLOCK_SHIFT
-                hi = lo + _BLOCK_WORDS
-                words[lo:hi] = snap[lo:hi]
-        else:
+        if self._clean_snap is None:
+            if nonzero is None:
+                nonzero = np.flatnonzero(snap)
+            dirty.update(np.unique(nonzero >> _BLOCK_SHIFT).tolist())
+        elif snap is not self._clean_snap:
             np.copyto(self.words, snap)
-            self._clean_snap = snap
+            dirty.clear()
+        words = self.words
+        for block in dirty:
+            lo = block << _BLOCK_SHIFT
+            hi = lo + _BLOCK_WORDS
+            words[lo:hi] = snap[lo:hi]
+        self._clean_snap = snap
         dirty.clear()
 
     def __repr__(self) -> str:

@@ -109,6 +109,21 @@ class TestScheduler:
         with pytest.raises(ValueError):
             DRAMConfig(scheduler="magic")
 
+    # The same check for the fields that used to hang the controller (a
+    # window of 0 re-arms the pump every cycle forever) or crash it (a
+    # 0 B/cycle bus divides by zero): each error names its field.
+    @pytest.mark.parametrize("field, value", [
+        ("read_window", 0),
+        ("write_window", 0),
+        ("bus_bytes_per_cycle", 0),
+        ("t_cas", -1),
+        ("t_rcd", -1),
+        ("t_rp", -1),
+        ("t_ras", -1),
+    ])
+    def test_bad_timing_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DRAMConfig(**{field: value})
 
 class TestStats:
     def test_attribution_and_bytes(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memory.memimage import PhysicalMemory
+from repro.memory.paging import PageTable
 
 U64 = (1 << 64) - 1
 
@@ -159,6 +160,67 @@ class TestDirtyBlockRestore:
         # And the original snapshot still restores correctly (densely).
         mem.restore(snap_a)
         assert mem.read_word(0) == 0
+
+    # -- zero-based restore: a never-snapshotted image is zero outside its
+    # dirty blocks, so a foreign restore copies only those blocks plus the
+    # snapshot's nonzero blocks.
+
+    def _raw_store(m):
+        # The SoA fast-path idiom: raw array store + note_dirty.
+        m.words[9000:9300] = np.uint64(9)
+        m.note_dirty(9000, 300)
+
+    MUTATIONS = {
+        "write_word": lambda m: [m.write_word(a, 0xBAD)
+                                 for a in (0, 40960, m.size_bytes - 8)],
+        "write_words": lambda m: m.write_words(32760, list(range(1, 40))),
+        "fill": lambda m: m.fill(65536 - 80, 5000, 7),
+        "fetch_or": lambda m: m.fetch_or(m.size_bytes - 16, 0xFF),
+        "fetch_and": lambda m: (m.write_word(8, U64), m.fetch_and(8, 0xF0)),
+        "note_dirty": _raw_store,
+        "map_linear": lambda m: PageTable(m, (32768, 32768 + 4 * 4096))
+        .map_linear(0x4000_0000, 0, m.size_bytes),
+    }
+
+    @staticmethod
+    def _foreign_snapshot(size):
+        """A snapshot taken from *another* memory, nonzero in a few blocks
+        (including the last, partial one when ``size`` is ragged)."""
+        source = PhysicalMemory(size)
+        for addr in (16, 4096 * 8 + 64, size - 8):
+            source.write_word(addr, addr | 1)
+        return source.snapshot()
+
+    @pytest.mark.parametrize("size", [256 * 1024, 100 * 1024],
+                             ids=["whole-blocks", "ragged"])
+    @pytest.mark.parametrize("hint", [False, True], ids=["search", "hint"])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_fresh_image_restores_foreign_snapshot_exactly(
+            self, mutation, hint, size):
+        mutate = self.MUTATIONS[mutation]
+        snap = self._foreign_snapshot(size)
+        reference = snap.copy()
+        nonzero = np.flatnonzero(snap) if hint else None
+        mem = PhysicalMemory(size)
+        mutate(mem)
+        mem.restore(snap, nonzero)
+        assert np.array_equal(mem.words, reference)
+        # ``snap`` is now the clean point: another mutate/restore round is
+        # block-sparse and must be exact too.
+        mutate(mem)
+        mem.restore(snap)
+        assert np.array_equal(mem.words, reference)
+
+    def test_snapshotted_image_restores_foreign_snapshot_densely(self):
+        # After a snapshot the image is no longer zero outside its dirty
+        # blocks: block 2 holds data no dirty bit records and the foreign
+        # snapshot is zero there, so only a dense copy clears it.
+        mem = PhysicalMemory(self.SIZE)
+        mem.write_word(2 * 4096 * 8, 0xAB)
+        mem.snapshot()
+        snap = self._foreign_snapshot(self.SIZE)
+        mem.restore(snap, np.flatnonzero(snap))
+        assert np.array_equal(mem.words, snap)
 
 
 @given(
