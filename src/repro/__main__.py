@@ -307,6 +307,18 @@ def _cmd_fleet(args) -> int:
             print(f"{flag} must be at least {minimum} (got {value})",
                   file=sys.stderr)
             return 2
+    # A negative tax or backlog bound would run silently wrong, and a
+    # non-positive scale cannot size a heap.
+    for flag, value in (("--dram-tax", args.dram_tax),
+                        ("--shed-intervals", args.shed_intervals)):
+        if not value >= 0:
+            print(f"{flag} must be at least 0 (got {value})",
+                  file=sys.stderr)
+            return 2
+    if not args.scale > 0:
+        print(f"--scale must be greater than 0 (got {args.scale})",
+              file=sys.stderr)
+        return 2
     policies = [p.strip() for p in args.policy.split(",") if p.strip()]
     if not policies:
         # Mirror suite.select(): an empty selection must not silently

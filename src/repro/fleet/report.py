@@ -36,6 +36,7 @@ from repro.fleet.timeline import base_run, tenant_timeline
 from repro.workloads.latency import (
     QueryReplay,
     ReplayResult,
+    draw_services,
     percentile_summary,
 )
 
@@ -184,6 +185,10 @@ def simulate_fleet(
 ) -> FleetResult:
     """Simulate the fleet; replay only ``tenant_indices`` (default: all).
 
+    Each requested tenant's arrival slice and service draws are computed
+    once and shared by every policy's replay; they do not depend on the
+    policy (see :mod:`repro.workloads.latency`).
+
     ``faults`` arms the fleet fault plane (shared policy only; the
     dedicated/software baselines have no shared pool to fail). With it
     unset every code path is byte-identical to the fault-free driver —
@@ -205,6 +210,12 @@ def simulate_fleet(
     horizon = spec.n_queries * interval
     shed_cycles = (spec.shed_backlog_intervals * interval
                    if spec.shed_backlog_intervals > 0 else None)
+    queries: Dict[int, Tuple[List[int], int, List[int]]] = {}
+    for index in tenant_indices:
+        arrivals, n_warmup = tenant_arrivals(assignments, interval, index,
+                                             spec.warmup)
+        queries[index] = (arrivals, n_warmup, draw_services(
+            len(arrivals), service, roster[index].seed))
     reports: Dict[Tuple[int, str], TenantReport] = {}
     for policy in policies:
         collector = "sw" if policy == "software" else "hw"
@@ -237,8 +248,7 @@ def simulate_fleet(
         for index in tenant_indices:
             tenant = roster[index]
             timeline = sched.timelines[index]
-            arrivals, n_warmup = tenant_arrivals(assignments, interval,
-                                                 index, spec.warmup)
+            arrivals, n_warmup, services = queries[index]
             offline = (faults.tenant_crash_cycle(index)
                        if faults is not None and policy == "shared"
                        else None)
@@ -247,7 +257,7 @@ def simulate_fleet(
                 service_mean_cycles=service, seed=tenant.seed,
             ).replay(arrivals, warmup=n_warmup, horizon=horizon,
                      shed_backlog_cycles=shed_cycles,
-                     offline_after_cycle=offline)
+                     offline_after_cycle=offline, services=services)
             if not replay.conserved:
                 raise ConservationError(
                     f"tenant {index} under {policy}: arrived "

@@ -41,7 +41,9 @@ class FleetSpec:
     ``dram_tax`` is the shared-DRAM-channel contention proxy: under the
     ``shared`` policy every admission is stretched by
     ``1 + dram_tax * (n_tenants - 1) / n_units``.
-    ``shed_backlog_intervals`` of 0 disables load shedding.
+    ``shed_backlog_intervals`` of 0 disables load shedding. A negative
+    tax, backlog bound, interval or mean, or a ``scale`` of 0 or less, is
+    rejected with a ``ValueError`` naming the field.
 
     The ``failover_*`` fields tune the shared policy's retry discipline
     when a fleet fault plane is armed (see
@@ -77,6 +79,15 @@ class FleetSpec:
         if self.failover_timeout_cycles < 0:
             raise ValueError("failover timeout cannot be negative "
                              "(0 disables the patience budget)")
+        # ``not x >= 0`` also rejects NaN.
+        if not self.scale > 0:
+            raise ValueError(f"scale must be greater than 0 "
+                             f"(got {self.scale})")
+        for name in ("dram_tax", "shed_backlog_intervals",
+                     "interval_cycles", "service_mean_cycles"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} cannot be negative (got {value})")
         if not self.profiles_cycle:
             raise ValueError("profiles_cycle must name at least one profile")
         unknown = [p for p in self.profiles_cycle if p not in DACAPO_PROFILES]

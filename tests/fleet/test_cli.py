@@ -38,6 +38,19 @@ class TestCountValidation:
         err = capsys.readouterr().err
         assert f"{flag} must be at least {minimum} (got {bad})" in err
 
+    @pytest.mark.parametrize("flag,bad,message", [
+        ("--dram-tax", "-1", "--dram-tax must be at least 0 (got -1.0)"),
+        ("--dram-tax", "nan", "--dram-tax must be at least 0 (got nan)"),
+        ("--shed-intervals", "-3",
+         "--shed-intervals must be at least 0 (got -3)"),
+        ("--scale", "0", "--scale must be greater than 0 (got 0.0)"),
+        ("--scale", "-0.01", "--scale must be greater than 0 (got -0.01)"),
+    ])
+    def test_bad_ranges_exit_2_naming_the_flag(self, capsys, flag, bad,
+                                               message):
+        assert main(["fleet", "--tenants", "2", flag, bad]) == 2
+        assert message in capsys.readouterr().err
+
     def test_valid_counts_are_not_rejected_by_the_validator(self, capsys):
         # --warmup 0 is legal (minimum is 0, not 1): the validator must
         # not reject the boundary value.  Smallest possible run.

@@ -1,6 +1,8 @@
 """Fleet replay invariants that need the real simulation stack."""
 
+from repro.fleet import report
 from repro.fleet.balancer import spray, tenant_arrivals
+from repro.fleet.faults import FleetFaultSpec
 from repro.fleet.report import simulate_fleet
 from repro.fleet.spec import FleetSpec
 from repro.fleet.timeline import base_run, tenant_timeline
@@ -73,3 +75,30 @@ class TestConservation:
         fleet = simulate_fleet(spec)
         for report in fleet.reports.values():
             assert report.replay.conserved
+
+
+class _PerPolicyDraws(QueryReplay):
+    """Ignores the shared draws: each replay draws its own service times."""
+
+    def replay(self, arrivals, *args, services=None, **kwargs):
+        return super().replay(arrivals, *args, **kwargs)
+
+
+class TestSharedDraws:
+    def test_shared_draws_match_per_policy_draws(self, monkeypatch):
+        """simulate_fleet draws each tenant's service times once and hands
+        them to every policy's replay. Drawing afresh in each replay must
+        give the same rows, with shedding and a crashed tenant too."""
+        spec = FleetSpec(n_tenants=3, profiles_cycle=("luindex", "avrora"),
+                         scale=0.008, seed=3, n_gcs=1, n_queries=600,
+                         warmup=40, shed_backlog_intervals=2)
+        faults = FleetFaultSpec.parse("crash:t1@2000000")
+        shared = [simulate_fleet(spec), simulate_fleet(spec, faults=faults)]
+        monkeypatch.setattr(report, "QueryReplay", _PerPolicyDraws)
+        own = [simulate_fleet(spec), simulate_fleet(spec, faults=faults)]
+        for a, b in zip(shared, own):
+            assert a.rows() == b.rows()
+            assert [r.replay.records for r in a.reports.values()] == \
+                [r.replay.records for r in b.reports.values()]
+        crashed = shared[1].reports[(1, "shared")].replay
+        assert crashed.shed > 0

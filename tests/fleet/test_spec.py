@@ -38,6 +38,28 @@ class TestRoster:
         with pytest.raises(ValueError, match="at least one profile"):
             FleetSpec(profiles_cycle=())
 
+    @pytest.mark.parametrize("field,bad", [
+        ("dram_tax", -1.0),
+        ("dram_tax", -2.0),
+        ("dram_tax", float("nan")),
+        ("shed_backlog_intervals", -3),
+        ("interval_cycles", -50_000),
+        ("service_mean_cycles", -4000),
+    ])
+    def test_negative_knobs_rejected_naming_the_field(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} cannot be negative"):
+            FleetSpec(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [0.0, -0.01, float("nan")])
+    def test_non_positive_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="scale must be greater than 0"):
+            FleetSpec(scale=bad)
+
+    def test_zero_knobs_still_mean_derive_or_disable(self):
+        spec = FleetSpec(dram_tax=0.0, shed_backlog_intervals=0,
+                         interval_cycles=0, service_mean_cycles=0)
+        assert spec.dram_tax == 0.0
+
 
 def synthetic_base(starts_and_durations, mutator=5_000_000):
     run = MutatorRunResult(collector="hw", mutator_cycles=mutator)

@@ -99,13 +99,26 @@ class TestAggregation:
         with pytest.raises(ValueError):
             tail_ratio([])
 
+    @pytest.mark.parametrize("p", [101.0, 100.5, 0.0, -5.0, float("nan")])
+    def test_out_of_range_percentile(self, p):
+        run = synthetic_run()
+        records = QuerySimulator(run, interval_cycles=150_000,
+                                 service_mean_cycles=20_000,
+                                 seed=4).run_queries(50, warmup=0)
+        with pytest.raises(ValueError, match="outside"):
+            percentile_summary(records, percentiles=(p,))
+        with pytest.raises(ValueError, match="outside"):
+            tail_ratio(records, p_high=p)
+        assert percentile_summary(records, percentiles=(100.0,))["p100"] \
+            == percentile_summary(records)["max"]
+
 
 class TestEdgeCases:
     """The degenerate inputs the fleet layer now feeds this module."""
 
     def test_pause_covering_entire_window_rejected(self):
-        """No mutator time at all would spin _advance_through_pauses
-        forever; the simulator must refuse at construction."""
+        """No mutator time at all would spin the replay forever; the
+        simulator must refuse at construction."""
         run = MutatorRunResult(collector="sw", mutator_cycles=0)
         run.pauses.append(GCPauseRecord(
             index=0, start_cycle=0, mark_cycles=1_000_000, sweep_cycles=0,
