@@ -9,16 +9,18 @@ deterministically at construction. That makes a build fully reproducible
 from its checkpoint, so this module caches builds:
 
 * an **in-process LRU** (always on, ``REPRO_HEAP_CACHE_ENTRIES`` entries,
-  default 8) holding zlib-compressed pickles — the words snapshot is stored
-  sparsely (nonzero indices + values; generated heaps are ~98% zeros), so
-  both the pickled payload and the compress/decompress work stay a couple
-  of MB per entry regardless of the configured memory size;
+  default 8) holding zlib-compressed pickles of the checkpoint as it is.
+  Its memory image is a block-sparse :class:`~repro.memory.memimage.Snapshot`
+  holding only the blocks the heap uses (a few dozen 32 KiB blocks), so
+  the pickled payload and the compress/decompress work stay under a MB
+  per entry regardless of the configured memory size;
 * an optional **on-disk layer** enabled by ``REPRO_HEAP_CACHE`` (``1`` for
   ``~/.cache/repro-heaps``, any other value is used as the directory;
   ``0``/``off`` disables). Disk entries survive across processes, which is
   what makes the parallel figure pipeline's workers share builds. The
   directory is LRU-capped by ``REPRO_HEAP_CACHE_MAX_MB`` and an entry
-  that fails to reconstruct (torn write, bit-rot, stale pickle format) is
+  that fails to reconstruct (torn write, bit-rot, stale pickle format —
+  e.g. an entry written before snapshots were block-sparse) is
   dropped and transparently rebuilt — the shared disk-cache discipline of
   :mod:`repro.harness.diskcache`, which the simulation result cache
   (:mod:`repro.harness.simcache`) uses too.
@@ -26,7 +28,9 @@ from its checkpoint, so this module caches builds:
 A cache hit never returns a previously-handed-out object: the entry is
 unpickled into a **fresh** ``ManagedHeap`` (new simulator, cold memory
 system) plus a fresh ``HeapCheckpoint``, so callers may mutate the result
-freely — exactly as if they had rebuilt from scratch.
+freely — exactly as if they had rebuilt from scratch. The restore into the
+fresh image writes only the snapshot's blocks and the blocks the memory
+system's construction dirtied.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.harness.diskcache import atomic_write_bytes, evict_lru, \
     max_mb_from_env, touch
 from repro.heap.heapimage import HeapCheckpoint, ManagedHeap
@@ -51,7 +53,7 @@ from repro.workloads.graphgen import BuiltHeap, HeapGraphBuilder
 from repro.workloads.profiles import BenchmarkProfile
 
 DEFAULT_ENTRIES = 8
-_COMPRESS_LEVEL = 1  # the words array is mostly zeros; level 1 is plenty
+_COMPRESS_LEVEL = 1  # heap blocks are mostly zeros; level 1 is plenty
 
 
 def _canonical(value):
@@ -154,20 +156,9 @@ class HeapBuildCache:
         built = HeapGraphBuilder(profile, scale=scale, seed=seed,
                                  config=config).build()
         checkpoint = built.heap.checkpoint()
-        # Store the words snapshot sparsely: a generated heap's physical
-        # memory is overwhelmingly zeros (typically ~2% occupancy), so
-        # pickling (indices, values) of the nonzero words shrinks the
-        # pre-compression payload from the full memory size to a couple of
-        # MB — which is what makes both the compress here and the decompress
-        # in ``_reconstruct`` cheap. ``checkpoint`` itself is returned to
-        # the caller unmodified; only the pickled copy drops the dense
-        # array.
-        words = checkpoint.words
-        nonzero = np.flatnonzero(words)
         entry = {
             "config": _effective_config(profile, scale, config),
-            "checkpoint": dataclasses.replace(checkpoint, words=None),
-            "words_sparse": (len(words), nonzero, words[nonzero]),
+            "checkpoint": checkpoint,
             "live": sorted(built.live),
             "garbage": sorted(built.garbage),
             "hot": list(built.hot),
@@ -202,19 +193,7 @@ class HeapBuildCache:
         entry = pickle.loads(zlib.decompress(blob))
         heap = ManagedHeap(config=entry["config"])
         checkpoint: HeapCheckpoint = entry["checkpoint"]
-        sparse = entry.get("words_sparse")
-        indices = None
-        if sparse is not None:
-            # Current format: densify the sparse words snapshot in place.
-            n_words, indices, values = sparse
-            words = np.zeros(n_words, dtype=np.uint64)
-            words[indices] = values
-            checkpoint.words = words
-        # else: legacy entry (e.g. an old on-disk cache file) carrying the
-        # dense array — usable as-is. The fresh heap's memory has never
-        # been snapshotted, so the restore copies only the blocks that are
-        # dirty or nonzero in the snapshot.
-        heap.restore(checkpoint, indices)
+        heap.restore(checkpoint)
         rng = None
         if entry["rng_state"] is not None:
             rng = random.Random()

@@ -19,8 +19,6 @@ import copy
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.engine.simulator import Simulator
 from repro.heap.allocator import SegregatedFreeListAllocator
 from repro.heap.blocks import BlockList
@@ -33,6 +31,7 @@ from repro.heap.sizeclass import SizeClassTable
 from repro.heap.spaces import Space, SpaceKind, SpacePlan
 from repro.memory.config import MemorySystemConfig, WORD_BYTES
 from repro.memory.interconnect import MemorySystem, build_memory_system
+from repro.memory.memimage import Snapshot
 from repro.memory.paging import PAGE_SIZE, VIRT_OFFSET
 
 
@@ -40,7 +39,7 @@ from repro.memory.paging import PAGE_SIZE, VIRT_OFFSET
 class HeapCheckpoint:
     """Opaque state captured by :meth:`ManagedHeap.checkpoint`."""
 
-    words: np.ndarray
+    image: Snapshot
     mark_parity: int
     alloc_mark_value: int
     fresh_cursor: int
@@ -248,7 +247,7 @@ class ManagedHeap:
 
     def checkpoint(self) -> HeapCheckpoint:
         return HeapCheckpoint(
-            words=self.memsys.phys.snapshot(),
+            image=self.memsys.phys.snapshot(),
             mark_parity=self.mark_parity,
             alloc_mark_value=self.allocator.alloc_mark_value,
             fresh_cursor=self.allocator._fresh_cursor,
@@ -261,12 +260,10 @@ class ManagedHeap:
             bytes_allocated=self.allocator.bytes_allocated,
         )
 
-    def restore(self, checkpoint: HeapCheckpoint,
-                nonzero: Optional[np.ndarray] = None) -> None:
-        """Return to ``checkpoint``; ``nonzero``, the indices of its nonzero
-        words if the caller holds them, is passed to
-        :meth:`PhysicalMemory.restore`."""
-        self.memsys.phys.restore(checkpoint.words, nonzero)
+    def restore(self, checkpoint: HeapCheckpoint) -> None:
+        """Return to ``checkpoint``, which may come from another heap with
+        the same memory configuration."""
+        self.memsys.phys.restore(checkpoint.image)
         self.mark_parity = checkpoint.mark_parity
         self.allocator.alloc_mark_value = checkpoint.alloc_mark_value
         self.allocator._fresh_cursor = checkpoint.fresh_cursor

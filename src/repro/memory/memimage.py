@@ -10,17 +10,22 @@ Timing is handled separately by the DRAM/cache models; see
 :mod:`repro.memory.interconnect` for how functional access and timing are
 paired.
 
-Restores are block-sparse against a *clean point*: the snapshot the image
-last equalled, modulo the blocks written since. A fresh image's clean
-point is the all-zero image, so restoring any snapshot into it copies only
-its dirty blocks and the snapshot's nonzero blocks. A heap-cache hit
-restores into a fresh full-size image that way, without touching the
-pages the heap never uses.
+Snapshots and restores work in 32 KiB blocks. A :class:`Snapshot` holds
+copies of only the blocks that can be nonzero. The image tracks the
+blocks written since its *clean point*, the snapshot it last equalled (the
+all-zero image before any snapshot or restore); everywhere else it equals
+that snapshot, so it is zero outside the dirty blocks and the clean
+point's blocks. A snapshot copies just those blocks, and a restore
+rewrites just those blocks plus the restored snapshot's. A generated heap
+uses a few dozen of a 64 MiB image's 2,048 blocks, so checkpoints,
+heap-cache entries and restores cost a megabyte or less, never the full
+array.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -30,11 +35,23 @@ _U64_MASK = (1 << 64) - 1
 
 #: Dirty-tracking granularity: 4096 words = 32 KiB per block. A GC run
 #: touches a few percent of the image (mark bits, free-list links, spill
-#: region), so block-sparse restore copies megabytes instead of the full
-#: multi-hundred-MB array — profiling showed the dense ``ndarray.copy``/
-#: ``copyto`` pair was ~40% of a cold ``run_gc_comparison``.
+#: region), so block-sparse snapshots and restores copy megabytes instead
+#: of the full multi-hundred-MB array.
 _BLOCK_SHIFT = 12
 _BLOCK_WORDS = 1 << _BLOCK_SHIFT
+
+
+@dataclass(frozen=True, eq=False)
+class Snapshot:
+    """An image of ``n_words`` words that is zero outside ``blocks``.
+
+    ``blocks`` maps a block index to a copy of that block's words (the
+    last block of a ragged image is short). Snapshots are compared by
+    identity: restoring the clean point itself is the cheap case.
+    """
+
+    n_words: int
+    blocks: Dict[int, np.ndarray]
 
 
 class PhysicalMemory:
@@ -42,14 +59,11 @@ class PhysicalMemory:
 
     Mutations are tracked at block granularity (:data:`_BLOCK_WORDS` words)
     relative to the current *clean point* — the snapshot the image was last
-    taken from or restored to, or all zeros before either happens.
-    :meth:`restore` back to that snapshot copies only the dirty blocks; a
-    foreign snapshot restores into a fresh image by adding its nonzero
-    blocks, and into any other image densely. Either way the clean point
-    re-bases there. The handful of direct ``words[...] = ...`` writers
-    outside this class (the SoA object-view fast path, the page-table bulk
-    mapper) must call :meth:`note_dirty` — everything else funnels through
-    the write helpers here.
+    taken from or restored to, or the all-zero image before either happens
+    (see the module docstring). The handful of direct ``words[...] = ...``
+    writers outside this class (the SoA object-view fast path, the
+    page-table bulk mapper) must call :meth:`note_dirty` — everything else
+    funnels through the write helpers here.
     """
 
     def __init__(self, size_bytes: int):
@@ -57,12 +71,10 @@ class PhysicalMemory:
             raise ValueError(f"memory size must be word-aligned: {size_bytes}")
         self.size_bytes = size_bytes
         self.words = np.zeros(size_bytes // WORD_BYTES, dtype=np.uint64)
-        #: Block indices written since the clean point (see class docstring).
+        #: Block indices written since the clean point.
         self._dirty_blocks: set = set()
-        #: The snapshot array the image currently equals modulo
-        #: ``_dirty_blocks`` (``None`` until the first snapshot/restore:
-        #: the image is then zero outside ``_dirty_blocks``).
-        self._clean_snap = None
+        #: The snapshot the image equals outside ``_dirty_blocks``.
+        self._clean = Snapshot(len(self.words), {})
 
     def note_dirty(self, index: int, count: int = 1) -> None:
         """Record an out-of-band write of ``count`` words at word ``index``."""
@@ -118,73 +130,82 @@ class PhysicalMemory:
 
     # -- bulk access (the tracer's unit-stride reference copies) ----------
 
+    def _span(self, addr: int, count: int) -> int:
+        """Word index of ``addr``, checking that ``count`` words fit there."""
+        idx = self._index(addr)
+        if count < 0:
+            raise ValueError(f"negative word count: {count}")
+        if idx + count > len(self.words):
+            raise IndexError(f"bulk access past end: {addr:#x} +{count} words")
+        return idx
+
     def read_words(self, addr: int, count: int) -> List[int]:
         """Read ``count`` consecutive words starting at ``addr``."""
-        idx = self._index(addr)
-        if idx + count > len(self.words):
-            raise IndexError(f"bulk read past end: {addr:#x} +{count} words")
+        idx = self._span(addr, count)
         return [int(w) for w in self.words[idx : idx + count]]
 
     def write_words(self, addr: int, values: Iterable[int]) -> None:
         """Write consecutive words starting at ``addr``."""
-        idx = self._index(addr)
         vals = [np.uint64(v & _U64_MASK) for v in values]
-        if idx + len(vals) > len(self.words):
-            raise IndexError(f"bulk write past end: {addr:#x} +{len(vals)} words")
-        self.words[idx : idx + len(vals)] = vals
-        self.note_dirty(idx, len(vals))
+        idx = self._span(addr, len(vals))
+        if vals:
+            self.words[idx : idx + len(vals)] = vals
+            self.note_dirty(idx, len(vals))
 
     def fill(self, addr: int, count: int, value: int = 0) -> None:
         """Fill ``count`` words starting at ``addr`` with ``value``."""
-        idx = self._index(addr)
-        self.words[idx : idx + count] = np.uint64(value & _U64_MASK)
-        self.note_dirty(idx, count)
+        idx = self._span(addr, count)
+        if count:
+            self.words[idx : idx + count] = np.uint64(value & _U64_MASK)
+            self.note_dirty(idx, count)
 
     # -- snapshots (runs mutate mark bits / free lists) --------------------
 
-    def snapshot(self) -> np.ndarray:
-        """A copy of the entire image, for restoring between GC runs.
+    def snapshot(self) -> Snapshot:
+        """A copy of every block that can be nonzero, for restoring later.
 
-        The copy becomes the image's clean point: until another snapshot
-        (or a foreign restore) supersedes it, restores back to it are
-        block-sparse.
+        Those are the dirty blocks plus the clean point's blocks; the
+        image is zero everywhere else. All-zero blocks are left out. The
+        snapshot becomes the image's clean point.
         """
-        snap = self.words.copy()
-        self._clean_snap = snap
+        words = self.words
+        blocks = {}
+        for block in self._dirty_blocks.union(self._clean.blocks):
+            lo = block << _BLOCK_SHIFT
+            data = words[lo : lo + _BLOCK_WORDS]
+            if data.any():
+                blocks[block] = data.copy()
+        snap = Snapshot(len(words), blocks)
+        self._clean = snap
         self._dirty_blocks.clear()
         return snap
 
-    def restore(self, snap: np.ndarray, nonzero: Optional[np.ndarray] = None
-                ) -> None:
-        """Restore a snapshot taken from this memory.
+    def restore(self, snap: Snapshot) -> None:
+        """Make the image equal ``snap``, which may come from any image of
+        the same size, and make ``snap`` the clean point.
 
-        Restoring the current clean point copies only the blocks written
-        since it was established — the common checkpoint/collect/restore/
-        collect pattern of every comparison harness. An image that was
-        never snapshotted or restored has the all-zero clean point, so any
-        snapshot restores into it by copying the dirty blocks plus the
-        snapshot's nonzero blocks; ``nonzero`` (the snapshot's nonzero word
-        indices) spares that search when the caller already holds it. Any
-        other snapshot is restored densely. Either way ``snap`` becomes the
-        new clean point.
+        Only blocks that can differ are rewritten: the dirty blocks when
+        ``snap`` is the clean point, else the dirty blocks, the clean
+        point's blocks and ``snap``'s blocks. A rewritten block that
+        ``snap`` leaves out is zeroed.
         """
-        if snap.shape != self.words.shape:
-            raise ValueError("snapshot shape mismatch")
-        dirty = self._dirty_blocks
-        if self._clean_snap is None:
-            if nonzero is None:
-                nonzero = np.flatnonzero(snap)
-            dirty.update(np.unique(nonzero >> _BLOCK_SHIFT).tolist())
-        elif snap is not self._clean_snap:
-            np.copyto(self.words, snap)
-            dirty.clear()
         words = self.words
-        for block in dirty:
+        if snap.n_words != len(words):
+            raise ValueError(f"snapshot of {snap.n_words} words restored "
+                             f"into an image of {len(words)}")
+        rewrite = self._dirty_blocks
+        if snap is not self._clean:
+            rewrite = rewrite.union(self._clean.blocks, snap.blocks)
+        blocks = snap.blocks
+        for block in rewrite:
             lo = block << _BLOCK_SHIFT
-            hi = lo + _BLOCK_WORDS
-            words[lo:hi] = snap[lo:hi]
-        self._clean_snap = snap
-        dirty.clear()
+            data = blocks.get(block)
+            if data is None:
+                words[lo : lo + _BLOCK_WORDS] = 0
+            else:
+                words[lo : lo + len(data)] = data
+        self._clean = snap
+        self._dirty_blocks.clear()
 
     def __repr__(self) -> str:
         return f"PhysicalMemory({self.size_bytes // (1024 * 1024)} MiB)"

@@ -6,13 +6,17 @@ profile / scale / seed / memory-config invalidates the key — no stale-heap
 reuse, in memory or on disk.
 """
 
+import copy
 import dataclasses
+import pickle
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.harness import heapcache
 from repro.harness.heapcache import HeapBuildCache, fingerprint
+from repro.heap.verify import heap_digest
 from repro.memory.config import MemorySystemConfig
 from repro.workloads.profiles import DACAPO_PROFILES
 
@@ -28,11 +32,20 @@ def _no_disk_env(monkeypatch):
     heapcache.reset_cache()
 
 
+def _images_identical(a, b) -> bool:
+    """Two snapshots stand for the same image, block by block."""
+    assert a.n_words == b.n_words
+    assert sorted(a.blocks) == sorted(b.blocks)
+    for block, data in a.blocks.items():
+        assert data.dtype == b.blocks[block].dtype == np.uint64
+        assert np.array_equal(data, b.blocks[block]), block
+    return True
+
+
 def _checkpoints_byte_identical(a, b) -> bool:
-    assert np.array_equal(a.words, b.words)
-    assert a.words.dtype == b.words.dtype
+    assert _images_identical(a.image, b.image)
     for fld in dataclasses.fields(a):
-        if fld.name == "words":
+        if fld.name == "image":
             continue
         assert getattr(a, fld.name) == getattr(b, fld.name), fld.name
     return True
@@ -81,8 +94,8 @@ class TestInProcessCache:
         assert built1.hot == built2.hot
         assert built1.roots == built2.roots
         assert built1.rng.getstate() == built2.rng.getstate()
-        assert np.array_equal(built1.heap.memsys.phys.snapshot(),
-                              built2.heap.memsys.phys.snapshot())
+        assert np.array_equal(built1.heap.memsys.phys.words,
+                              built2.heap.memsys.phys.words)
         # Allocator lifetime counters drive mutator-time accounting
         # (Fig. 1a); a reconstructed heap must reproduce them exactly.
         assert built1.heap.allocator.bytes_allocated \
@@ -95,18 +108,38 @@ class TestInProcessCache:
         built1, cp1 = cache.get_or_build(PROFILE, SCALE, 1)
         # Scribble over the first result's heap and checkpoint.
         built1.heap.memsys.phys.words[:128] = 0xDEAD
-        cp1.words[:128] = 0xBEEF
+        cp1.image.blocks[0][:128] = 0xBEEF
         built1.live.clear()
         _built2, cp2 = cache.get_or_build(PROFILE, SCALE, 1)
-        assert not np.array_equal(cp2.words[:128], cp1.words[:128])
+        assert not np.array_equal(cp2.image.blocks[0][:128],
+                                  cp1.image.blocks[0][:128])
         assert _built2.live
+
+    def test_scribbling_into_checkpoint_blocks_does_not_poison_hits(self):
+        cache = HeapBuildCache()
+        built, cp_miss = cache.get_or_build(PROFILE, SCALE, 1)
+        pristine = copy.deepcopy(cp_miss.image)
+        digest = heap_digest(built.heap)
+        _, cp_hit = cache.get_or_build(PROFILE, SCALE, 1)
+        for cp in (cp_miss, cp_hit):
+            for data in cp.image.blocks.values():
+                data[:] = 0xBEEF
+            cp.image.blocks[max(cp.image.blocks) + 1] = \
+                np.full(4096, 7, dtype=np.uint64)
+        built3, cp3 = cache.get_or_build(PROFILE, SCALE, 1)
+        assert cache.hits == 2 and cache.misses == 1
+        assert _images_identical(cp3.image, pristine)
+        assert heap_digest(built3.heap) == digest
+        assert np.array_equal(built3.heap.memsys.phys.words,
+                              built.heap.memsys.phys.words)
 
     def test_different_keys_do_not_alias(self):
         cache = HeapBuildCache()
         _, cp_a = cache.get_or_build(PROFILE, SCALE, 1)
         _, cp_b = cache.get_or_build(PROFILE, SCALE, 2)
         assert cache.misses == 2 and cache.hits == 0
-        assert not np.array_equal(cp_a.words, cp_b.words)
+        assert any(not np.array_equal(data, cp_b.image.blocks.get(block))
+                   for block, data in cp_a.image.blocks.items())
 
     def test_lru_eviction(self):
         cache = HeapBuildCache(entries=1)
@@ -135,6 +168,45 @@ class TestDiskCache:
         fresh.get_or_build(PROFILE, SCALE, 2)  # different seed: must rebuild
         assert fresh.disk_hits == 0 and fresh.misses == 1
 
+    def test_pre_change_entry_is_dropped_and_rebuilt(self, tmp_path):
+        """A disk entry written before snapshots were block-sparse (the
+        checkpoint with ``words=None`` and the image as ``words_sparse``
+        nonzero indices and values) fails to reconstruct, is dropped and
+        rebuilt, and the rebuilt entry is read back on the next load."""
+        cold, cold_cp = HeapBuildCache().get_or_build(PROFILE, SCALE, 1)
+        legacy_cp = copy.copy(cold_cp)
+        image = legacy_cp.__dict__.pop("image")
+        legacy_cp.__dict__["words"] = None
+        words = np.zeros(image.n_words, dtype=np.uint64)
+        for block, data in image.blocks.items():
+            words[block * 4096:block * 4096 + len(data)] = data
+        nonzero = np.flatnonzero(words)
+        entry = {
+            "config": heapcache._effective_config(PROFILE, SCALE, None),
+            "checkpoint": legacy_cp,
+            "words_sparse": (len(words), nonzero, words[nonzero]),
+            "live": sorted(cold.live),
+            "garbage": sorted(cold.garbage),
+            "hot": list(cold.hot),
+            "roots": list(cold.roots),
+            "rng_state": cold.rng.getstate(),
+        }
+        key = fingerprint(PROFILE, SCALE, 1, None)
+        (tmp_path / f"{key}.heap").write_bytes(zlib.compress(
+            pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)))
+
+        cache = HeapBuildCache(disk_dir=tmp_path)
+        built, cp = cache.get_or_build(PROFILE, SCALE, 1)
+        assert cache.misses == 1
+        assert cache.hits == 0 and cache.disk_hits == 0
+        assert heap_digest(built.heap) == heap_digest(cold.heap)
+        assert _checkpoints_byte_identical(cp, cold_cp)
+
+        fresh = HeapBuildCache(disk_dir=tmp_path)
+        reloaded, _ = fresh.get_or_build(PROFILE, SCALE, 1)
+        assert fresh.disk_hits == 1 and fresh.misses == 0
+        assert heap_digest(reloaded.heap) == heap_digest(cold.heap)
+
     def test_env_configuration(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_HEAP_CACHE", str(tmp_path))
         heapcache.reset_cache()
@@ -148,7 +220,7 @@ class TestDiskCache:
         target.write_text("occupied")  # mkdir will fail under this path
         cache = HeapBuildCache(disk_dir=target / "sub")
         _built, cp = cache.get_or_build(PROFILE, SCALE, 1)
-        assert cp.words.size  # build still succeeded
+        assert cp.image.blocks  # build still succeeded
 
 
 class TestCachedRunsAreIdentical:

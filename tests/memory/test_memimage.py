@@ -71,6 +71,43 @@ class TestBulk:
         with pytest.raises(IndexError):
             mem.write_words(64 * 1024 - 8, [1, 2])
 
+    def test_fill_rejects_negative_count(self, mem):
+        # A negative count used to slice from the end: 8,189 words written
+        # with no dirty block recorded.
+        with pytest.raises(ValueError):
+            mem.fill(8, -3, 1)
+        assert not mem.words.any()
+
+    def test_read_words_rejects_negative_count(self, mem):
+        with pytest.raises(ValueError):
+            mem.read_words(0, -2)
+
+    def test_fill_rejects_range_past_end(self, mem):
+        # Used to write the 2 words that fit and mark a block past the
+        # image dirty.
+        with pytest.raises(IndexError):
+            mem.fill(64 * 1024 - 16, 10, 7)
+        assert not mem.words.any()
+        assert mem.snapshot().blocks == {}
+
+    def test_empty_ranges_allowed(self, mem):
+        assert mem.read_words(0x100, 0) == []
+        mem.write_words(0x100, [])
+        mem.fill(0x100, 0, 5)
+        assert not mem.words.any()
+
+
+BLOCK_WORDS = 4096  # 32 KiB
+
+
+def dense(snap) -> np.ndarray:
+    """The full image a :class:`Snapshot` stands for."""
+    out = np.zeros(snap.n_words, dtype=np.uint64)
+    for block, data in snap.blocks.items():
+        lo = block * BLOCK_WORDS
+        out[lo:lo + len(data)] = data
+    return out
+
 
 class TestSnapshot:
     def test_snapshot_restore(self, mem):
@@ -81,17 +118,39 @@ class TestSnapshot:
         assert mem.read_word(0x80) == 42
 
     def test_snapshot_is_a_copy(self, mem):
+        mem.write_word(0, 5)
         snap = mem.snapshot()
         mem.write_word(0, 7)
-        assert snap[0] == 0
+        assert dense(snap)[0] == 5
+        assert not any(np.shares_memory(data, mem.words)
+                       for data in snap.blocks.values())
 
-    def test_shape_mismatch_rejected(self, mem):
+    def test_size_mismatch_rejected(self, mem):
         with pytest.raises(ValueError):
-            mem.restore(np.zeros(3, dtype=np.uint64))
+            mem.restore(PhysicalMemory(128 * 1024).snapshot())
+
+    def test_snapshot_holds_only_nonzero_blocks(self):
+        mem = PhysicalMemory(256 * 1024)
+        mem.write_word(8, 1)
+        mem.write_word(BLOCK_WORDS * 8 * 5, 2)
+        assert sorted(mem.snapshot().blocks) == [0, 5]
+        # A clean-point block that is zero now is left out.
+        mem.write_word(BLOCK_WORDS * 8 * 5, 0)
+        snap = mem.snapshot()
+        assert sorted(snap.blocks) == [0]
+        assert snap.n_words == len(mem.words)
+        assert all(len(data) == BLOCK_WORDS for data in snap.blocks.values())
+
+    def test_ragged_last_block_is_short(self):
+        mem = PhysicalMemory(100 * 1024)
+        mem.write_word(100 * 1024 - 8, 9)
+        snap = mem.snapshot()
+        assert len(snap.blocks[3]) == 100 * 1024 // 8 - 3 * BLOCK_WORDS
+        assert np.array_equal(dense(snap), mem.words)
 
 
 class TestDirtyBlockRestore:
-    """The block-sparse restore must be byte-exact vs. a dense copy.
+    """The block-sparse snapshot and restore must be exact.
 
     Every write helper, both atomics, and the out-of-band ``note_dirty``
     contract feed the dirty set; restoring the clean-point snapshot copies
@@ -106,8 +165,8 @@ class TestDirtyBlockRestore:
         mem = PhysicalMemory(self.SIZE)
         for addr in range(0, self.SIZE, 4096 * 8):
             mem.write_word(addr, addr | 1)
+        reference = mem.words.copy()
         snap = mem.snapshot()
-        reference = snap.copy()
         mutate(mem)
         mem.restore(snap)
         assert np.array_equal(mem.words, reference)
@@ -142,11 +201,12 @@ class TestDirtyBlockRestore:
             m.note_dirty(9000, 300)
         self._scribble_then_restore(mutate)
 
-    def test_foreign_snapshot_restores_densely_and_rebases(self):
+    def test_foreign_snapshot_restores_and_rebases(self):
         mem = PhysicalMemory(self.SIZE)
         snap_a = mem.snapshot()
-        mem.write_word(0, 1)
-        foreign = mem.words.copy()  # not produced by snapshot()
+        other = PhysicalMemory(self.SIZE)
+        other.write_word(0, 1)
+        foreign = other.snapshot()
         mem.write_word(0, 2)
         mem.restore(foreign)
         assert mem.read_word(0) == 1
@@ -157,13 +217,12 @@ class TestDirtyBlockRestore:
         mem.restore(foreign)
         assert mem.read_word(0) == 1
         assert mem.read_word(self.SIZE - 8) == 0
-        # And the original snapshot still restores correctly (densely).
+        # And the original snapshot still restores correctly.
         mem.restore(snap_a)
-        assert mem.read_word(0) == 0
+        assert not mem.words.any()
 
-    # -- zero-based restore: a never-snapshotted image is zero outside its
-    # dirty blocks, so a foreign restore copies only those blocks plus the
-    # snapshot's nonzero blocks.
+    # -- a never-snapshotted image is zero outside its dirty blocks, so a
+    # foreign restore rewrites only those blocks plus the snapshot's.
 
     def _raw_store(m):
         # The SoA fast-path idiom: raw array store + note_dirty.
@@ -174,7 +233,7 @@ class TestDirtyBlockRestore:
         "write_word": lambda m: [m.write_word(a, 0xBAD)
                                  for a in (0, 40960, m.size_bytes - 8)],
         "write_words": lambda m: m.write_words(32760, list(range(1, 40))),
-        "fill": lambda m: m.fill(65536 - 80, 5000, 7),
+        "fill": lambda m: m.fill(65536 - 80, 4000, 7),
         "fetch_or": lambda m: m.fetch_or(m.size_bytes - 16, 0xFF),
         "fetch_and": lambda m: (m.write_word(8, U64), m.fetch_and(8, 0xF0)),
         "note_dirty": _raw_store,
@@ -193,17 +252,15 @@ class TestDirtyBlockRestore:
 
     @pytest.mark.parametrize("size", [256 * 1024, 100 * 1024],
                              ids=["whole-blocks", "ragged"])
-    @pytest.mark.parametrize("hint", [False, True], ids=["search", "hint"])
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
     def test_fresh_image_restores_foreign_snapshot_exactly(
-            self, mutation, hint, size):
+            self, mutation, size):
         mutate = self.MUTATIONS[mutation]
         snap = self._foreign_snapshot(size)
-        reference = snap.copy()
-        nonzero = np.flatnonzero(snap) if hint else None
+        reference = dense(snap)
         mem = PhysicalMemory(size)
         mutate(mem)
-        mem.restore(snap, nonzero)
+        mem.restore(snap)
         assert np.array_equal(mem.words, reference)
         # ``snap`` is now the clean point: another mutate/restore round is
         # block-sparse and must be exact too.
@@ -211,16 +268,137 @@ class TestDirtyBlockRestore:
         mem.restore(snap)
         assert np.array_equal(mem.words, reference)
 
-    def test_snapshotted_image_restores_foreign_snapshot_densely(self):
+    def test_snapshotted_image_restore_clears_clean_point_blocks(self):
         # After a snapshot the image is no longer zero outside its dirty
         # blocks: block 2 holds data no dirty bit records and the foreign
-        # snapshot is zero there, so only a dense copy clears it.
+        # snapshot is zero there, so the restore must rewrite the clean
+        # point's blocks too.
         mem = PhysicalMemory(self.SIZE)
         mem.write_word(2 * 4096 * 8, 0xAB)
         mem.snapshot()
         snap = self._foreign_snapshot(self.SIZE)
-        mem.restore(snap, np.flatnonzero(snap))
-        assert np.array_equal(mem.words, snap)
+        mem.restore(snap)
+        assert np.array_equal(mem.words, dense(snap))
+
+
+# -- exactness battery --------------------------------------------------------
+#
+# Random sequences of every mutation path, snapshots, and restores of own,
+# older and foreign snapshots across two images, checked against a dense
+# reference: one plain ``np.ndarray`` per image, updated with numpy slicing
+# only, and a full ``words.copy()`` of it per snapshot.
+
+_VALUES = st.one_of(st.sampled_from([0, 1, U64]), st.integers(0, U64))
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["write_word", "write_words", "fill", "fetch_or",
+                         "fetch_and", "note_dirty", "map_linear"]
+                        + ["snapshot", "restore"] * 3),
+        st.integers(0, 1),                  # which image
+        # A word position (block, offset); also picks a snapshot to restore.
+        st.tuples(st.integers(0, 3),
+                  st.one_of(st.sampled_from([0, 1, BLOCK_WORDS - 1]),
+                            st.integers(0, BLOCK_WORDS - 1))),
+        # A word count: mostly a few words, sometimes across blocks.
+        st.one_of(st.integers(0, 8), st.integers(0, 8), st.integers(0, 9000)),
+        _VALUES,
+    ),
+    max_size=30,
+)
+
+
+def _run_battery(size, ops):
+    n = size // 8
+    images = [PhysicalMemory(size), PhysicalMemory(size)]
+    refs = [np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)]
+    snaps = []  # (snapshot, dense copy of the image it was taken from)
+    for kind, which, (block, offset), count, value in ops:
+        mem, ref = images[which], refs[which]
+        pos = block * BLOCK_WORDS + offset
+        i = pos % n
+        count = min(count, n - i)
+        if kind == "write_word":
+            mem.write_word(i * 8, value)
+            ref[i] = value
+        elif kind == "write_words":
+            values = [(value + k) & U64 for k in range(count)]
+            mem.write_words(i * 8, values)
+            ref[i:i + count] = np.array(values, dtype=np.uint64)
+        elif kind == "fill":
+            mem.fill(i * 8, count, value)
+            ref[i:i + count] = value
+        elif kind == "fetch_or":
+            old = mem.fetch_or(i * 8, value)
+            assert old == int(ref[i])
+            ref[i] |= np.uint64(value)
+        elif kind == "fetch_and":
+            old = mem.fetch_and(i * 8, value)
+            assert old == int(ref[i])
+            ref[i] &= np.uint64(value)
+        elif kind == "note_dirty":
+            count = max(count, 1)
+            mem.words[i:i + count] = np.uint64(value)
+            mem.note_dirty(i, count)
+            ref[i:i + count] = value
+        elif kind == "map_linear":
+            # The page-table layout is not modelled here: the reference
+            # adopts the image's words, and a missed dirty block shows up
+            # at the next restore.
+            start = offset % (size // 4096 - 4) * 4096
+            PageTable(mem, (start, start + 4 * 4096)).map_linear(
+                0x4000_0000, 0, size)
+            ref[:] = mem.words
+        elif kind == "snapshot":
+            snap = mem.snapshot()
+            assert snap.n_words == n
+            assert np.array_equal(dense(snap), ref)
+            snaps.append((snap, ref.copy()))
+        elif snaps:  # restore
+            snap, image = snaps[offset % len(snaps)]
+            mem.restore(snap)
+            ref[:] = image
+        assert np.array_equal(mem.words, ref), (kind, which)
+    # Every snapshot still stands for the image it was taken from.
+    for snap, image in snaps:
+        assert np.array_equal(dense(snap), image)
+
+
+@pytest.mark.parametrize("size", [128 * 1024, 100 * 1024],
+                         ids=["whole-blocks", "ragged"])
+@given(ops=_OPS)
+@settings(max_examples=300, deadline=None)
+def test_snapshot_battery(size, ops):
+    _run_battery(size, ops)
+
+
+#: The sequences each broken snapshot or restore rule fails on.
+NAMED_SEQUENCES = {
+    # Restoring a foreign snapshot must clear the clean point's blocks.
+    "clean blocks": [("write_word", 0, (2, 0), 0, 5),
+                     ("snapshot", 0, (0, 0), 0, 0),
+                     ("snapshot", 1, (0, 0), 0, 0),
+                     ("restore", 0, (0, 1), 0, 0)],
+    # ... and must write the snapshot's blocks.
+    "snapshot blocks": [("write_word", 1, (3, 0), 0, 6),
+                        ("snapshot", 1, (0, 0), 0, 0),
+                        ("restore", 0, (0, 0), 0, 0)],
+    # A snapshot after a restore must copy the clean point's blocks.
+    "snapshot of a restored image": [("write_word", 1, (0, 1), 0, 7),
+                                     ("snapshot", 1, (0, 0), 0, 0),
+                                     ("restore", 0, (0, 0), 0, 0),
+                                     ("snapshot", 0, (0, 0), 0, 0),
+                                     ("write_word", 0, (0, 1), 0, 0),
+                                     ("restore", 0, (0, 1), 0, 0)],
+    # A dirty block the snapshot leaves out must be zeroed.
+    "zeroing": [("snapshot", 0, (0, 0), 0, 0),
+                ("fill", 0, (0, 0), BLOCK_WORDS, 3),
+                ("restore", 0, (0, 0), 0, 0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SEQUENCES))
+def test_snapshot_battery_named_sequence(name):
+    _run_battery(128 * 1024, NAMED_SEQUENCES[name])
 
 
 @given(
