@@ -80,8 +80,9 @@ def _cmd_compare(args) -> int:
         print(f"unknown benchmark {args.benchmark!r}; try `list`",
               file=sys.stderr)
         return 2
-    comp = run_gc_comparison(profile, scale=args.scale or 0.03,
-                             seed=args.seed or 1)
+    comp = run_gc_comparison(
+        profile, scale=0.03 if args.scale is None else args.scale,
+        seed=1 if args.seed is None else args.seed)
     print(comp.summary())
     print(f"overall speedup: {comp.overall_speedup:.2f}x")
     return 0
@@ -307,18 +308,13 @@ def _cmd_fleet(args) -> int:
             print(f"{flag} must be at least {minimum} (got {value})",
                   file=sys.stderr)
             return 2
-    # A negative tax or backlog bound would run silently wrong, and a
-    # non-positive scale cannot size a heap.
+    # A negative tax or backlog bound would run silently wrong.
     for flag, value in (("--dram-tax", args.dram_tax),
                         ("--shed-intervals", args.shed_intervals)):
         if not value >= 0:
             print(f"{flag} must be at least 0 (got {value})",
                   file=sys.stderr)
             return 2
-    if not args.scale > 0:
-        print(f"--scale must be greater than 0 (got {args.scale})",
-              file=sys.stderr)
-        return 2
     policies = [p.strip() for p in args.policy.split(",") if p.strip()]
     if not policies:
         # Mirror suite.select(): an empty selection must not silently
@@ -495,6 +491,14 @@ def main(argv=None) -> int:
                               help="print the SLO table's sha256 "
                               "fingerprint")
     args = parser.parse_args(argv)
+    # ``--scale`` is the fraction of a profile's full-size heap: zero or
+    # less (or NaN) cannot size a heap, and above 1 the image outgrows
+    # the host (1e9 asks for a 128 PiB array).
+    scale = getattr(args, "scale", None)
+    if scale is not None and not 0 < scale <= 1:
+        bound = "greater than 0" if not scale > 0 else "at most 1"
+        print(f"--scale must be {bound} (got {scale})", file=sys.stderr)
+        return 2
     return {
         "list": _cmd_list,
         "run": _cmd_run,

@@ -41,16 +41,12 @@ class RelocatingSweep:
         allocator = self.heap.allocator
         block_index = self._dest_blocks.get(class_index)
         if block_index is not None:
-            head = self.heap.block_list.freelist_head(block_index)
-            if head != 0:
-                next_vaddr = self.heap.mem.read_word(
-                    allocator.to_physical(head)
-                )
-                self.heap.block_list.set_freelist_head(block_index, next_vaddr)
+            head = allocator.pop_free(block_index)
+            if head:
                 return head
         block_index = allocator._carve_block(class_index)
         self._dest_blocks[class_index] = block_index
-        return self._fresh_cell(class_index)
+        return allocator.pop_free(block_index)
 
     # -- evacuation -------------------------------------------------------------
 

@@ -12,15 +12,17 @@ allocation. The allocator:
   sweeper-updated ``freelist_head`` fields after a GC ("places the
   resulting free lists into main memory for the application on the CPU to
   use during allocation", §IV);
-* initializes object metadata through the configured layout and returns the
-  object reference (virtual address of the status word).
+* initializes object metadata through the bidirectional layout and returns
+  the object reference (virtual address of the status word).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.heap.blocks import BLOCK_BYTES, BlockDescriptor, BlockList
+import numpy as np
+
+from repro.heap.blocks import BLOCK_BYTES, BlockList
 from repro.heap.layout import BidirectionalLayout, ObjectShape
 from repro.heap.sizeclass import SizeClassTable
 from repro.memory.config import WORD_BYTES
@@ -42,7 +44,6 @@ class SegregatedFreeListAllocator:
         space_pend: int,
         virt_offset: int,
         size_classes: Optional[SizeClassTable] = None,
-        layout=BidirectionalLayout,
         alloc_mark_value: int = 0,
     ):
         self.mem = mem
@@ -51,7 +52,6 @@ class SegregatedFreeListAllocator:
         self.space_pend = space_pend
         self.virt_offset = virt_offset
         self.size_classes = size_classes or SizeClassTable()
-        self.layout = layout
         #: Mark-bit value written into fresh objects; the heap updates this
         #: when mark parity flips after a GC.
         self.alloc_mark_value = alloc_mark_value
@@ -85,11 +85,17 @@ class SegregatedFreeListAllocator:
         cell_bytes = self.size_classes.cell_bytes(class_index)
         n_cells = BLOCK_BYTES // cell_bytes
         base_vaddr = self.to_virtual(base_paddr)
-        # Thread every cell onto the block's free list.
-        for i in range(n_cells):
-            cell_paddr = base_paddr + i * cell_bytes
-            next_vaddr = base_vaddr + (i + 1) * cell_bytes if i + 1 < n_cells else 0
-            self.mem.write_word(cell_paddr, next_vaddr)
+        # Thread every cell onto the block's free list: cell i's first word
+        # holds cell i+1's address, and the last cell's holds 0. One strided
+        # store writes them all.
+        links = np.arange(1, n_cells + 1, dtype=np.uint64)
+        links *= np.uint64(cell_bytes)
+        links += np.uint64(base_vaddr)
+        links[-1] = 0
+        cell_words = cell_bytes // WORD_BYTES
+        first = base_paddr // WORD_BYTES
+        self.mem.words[first : first + n_cells * cell_words : cell_words] = links
+        self.mem.note_dirty(first, (n_cells - 1) * cell_words + 1)
         desc = self.block_list.append(base_vaddr, cell_bytes, n_cells, base_vaddr)
         self._class_blocks[class_index].append(desc.index)
         self._block_class[desc.index] = class_index
@@ -115,38 +121,45 @@ class SegregatedFreeListAllocator:
 
     # -- allocation -------------------------------------------------------------
 
+    def pop_free(self, block_index: int) -> int:
+        """Unlink the head of a block's free list; returns its *virtual*
+        address, or 0 (leaving the list as it is) if the list is empty."""
+        words = self.mem.words
+        head_index = self.block_list.freelist_head_index(block_index)
+        head = int(words[head_index])
+        if head:
+            words[head_index] = self.mem.read_word(head - self.virt_offset)
+            self.mem.note_dirty(head_index)
+        return head
+
     def _pop_cell(self, class_index: int) -> int:
         """Pop a free cell for the class; returns its *virtual* address."""
         blocks = self._class_blocks[class_index]
         while blocks:
-            block_index = blocks[0]
-            head = self.block_list.freelist_head(block_index)
-            if head == 0:
-                blocks.pop(0)
-                continue
-            next_vaddr = self.mem.read_word(self.to_physical(head))
-            self.block_list.set_freelist_head(block_index, next_vaddr)
-            return head
-        block_index = self._carve_block(class_index)
-        return self._pop_cell(class_index)
+            head = self.pop_free(blocks[0])
+            if head:
+                return head
+            blocks.pop(0)
+        return self.pop_free(self._carve_block(class_index))
 
-    def alloc(self, shape: ObjectShape) -> int:
+    def alloc(self, shape: ObjectShape, n_words: Optional[int] = None) -> int:
         """Allocate an object; returns its reference (virtual address).
 
-        Only MarkSweep-space sizes are accepted; larger objects belong to
-        the large-object space (see :class:`~repro.heap.heapimage.
-        ManagedHeap`).
+        ``n_words`` is ``shape.bidirectional_words``, for a caller that has
+        already computed it. Only MarkSweep-space sizes are accepted;
+        larger objects belong to the large-object space (see
+        :class:`~repro.heap.heapimage.ManagedHeap`). Everything that can
+        reject the request runs before a cell is taken.
         """
-        n_words = self.layout.words_needed(shape)
+        if n_words is None:
+            n_words = shape.bidirectional_words
         class_index = self.size_classes.class_for(n_words)
-        cell_vaddr = self._pop_cell(class_index)
-        cell_paddr = self.to_physical(cell_vaddr)
-        status_paddr = self.layout.initialize(
-            self.mem, cell_paddr, shape, mark=self.alloc_mark_value
-        )
+        words = BidirectionalLayout.metadata_words(shape, self.alloc_mark_value)
+        status_paddr = BidirectionalLayout.initialize(
+            self.mem, self._pop_cell(class_index) - self.virt_offset, words)
         self.objects_allocated += 1
         self.bytes_allocated += self.size_classes.cell_bytes(class_index)
-        return self.to_virtual(status_paddr)
+        return status_paddr + self.virt_offset
 
     # -- introspection -----------------------------------------------------------
 

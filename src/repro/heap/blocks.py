@@ -88,6 +88,11 @@ class BlockList:
             raise IndexError(f"block {index} out of {self.count}")
         return self._descriptor_addr(index)
 
+    def freelist_head_index(self, index: int) -> int:
+        """Word index (into the image's ``words``) of a block's free-list
+        head, for the allocator's pop."""
+        return self._descriptor_addr(index) // WORD_BYTES + 3
+
     def set_freelist_head(self, index: int, head_vaddr: int) -> None:
         addr = self._descriptor_addr(index) + 3 * WORD_BYTES
         self.mem.write_word(addr, head_vaddr)

@@ -134,33 +134,33 @@ class ManagedHeap:
         ``space`` may be ``"auto"`` (MarkSweep if it fits, else LOS),
         ``"immortal"`` or ``"code"``.
         """
-        n_words = BidirectionalLayout.words_needed(shape)
+        n_words = shape.bidirectional_words
         if space == "auto":
             if self.size_classes.fits(n_words):
-                addr = self.allocator.alloc(shape)
+                addr = self.allocator.alloc(shape, n_words)
                 self.objects.append(addr)
                 self._metadata = None
                 return addr
-            return self._alloc_bump(self.plan.los, shape, align=PAGE_SIZE,
-                                    track_los=True)
+            return self._alloc_bump(self.plan.los, shape, n_words,
+                                    align=PAGE_SIZE, track_los=True)
         if space == "immortal":
-            return self._alloc_bump(self.plan.immortal, shape)
+            return self._alloc_bump(self.plan.immortal, shape, n_words)
         if space == "code":
-            return self._alloc_bump(self.plan.code, shape)
+            return self._alloc_bump(self.plan.code, shape, n_words)
         raise ValueError(f"unknown space {space!r}")
 
     def _alloc_bump(
-        self, target: Space, shape: ObjectShape, align: int = WORD_BYTES,
-        track_los: bool = False,
+        self, target: Space, shape: ObjectShape, n_words: int,
+        align: int = WORD_BYTES, track_los: bool = False,
     ) -> int:
-        nbytes = BidirectionalLayout.words_needed(shape) * WORD_BYTES
+        words = BidirectionalLayout.metadata_words(
+            shape, self.allocator.alloc_mark_value)
+        nbytes = n_words * WORD_BYTES
         if align == PAGE_SIZE:
             nbytes = -(-nbytes // PAGE_SIZE) * PAGE_SIZE
         cell_paddr = target.bump_alloc(nbytes, align=align)
         status_paddr = BidirectionalLayout.initialize(
-            self.memsys.phys, cell_paddr, shape,
-            mark=self.allocator.alloc_mark_value,
-        )
+            self.memsys.phys, cell_paddr, words)
         addr = self.to_virtual(status_paddr)
         self.objects.append(addr)
         self._metadata = None

@@ -27,10 +27,10 @@ parameterized by layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.heap.header import (
+    MAX_REFS,
     decode_refcount,
     make_header,
     make_scan_word,
@@ -39,13 +39,36 @@ from repro.memory.config import WORD_BYTES
 from repro.memory.memimage import PhysicalMemory
 
 
-@dataclass(frozen=True)
-class ObjectShape:
-    """The allocation request for one object."""
-
+class _ShapeFields(NamedTuple):
     n_refs: int
     n_payload_words: int = 0
     is_array: bool = False
+
+
+class ObjectShape(_ShapeFields):
+    """The allocation request for one object (an immutable tuple).
+
+    A negative field would describe a cell smaller than the words its
+    object writes, so both counts are checked here, before any allocator
+    state can change.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n_refs: int, n_payload_words: int = 0,
+                is_array: bool = False) -> "ObjectShape":
+        if not 0 <= n_refs <= MAX_REFS:
+            raise ValueError(
+                f"n_refs must be in [0, {MAX_REFS}] (got {n_refs})")
+        if not n_payload_words >= 0:
+            raise ValueError(
+                f"n_payload_words must be at least 0 (got {n_payload_words})")
+        return tuple.__new__(cls, (n_refs, n_payload_words, is_array))
+
+    @classmethod
+    def _make(cls, iterable) -> "ObjectShape":
+        # ``_replace`` builds through here; keep the checks on that path.
+        return cls(*iterable)
 
     @property
     def bidirectional_words(self) -> int:
@@ -68,18 +91,29 @@ class BidirectionalLayout:
         return shape.bidirectional_words
 
     @staticmethod
-    def initialize(
-        mem: PhysicalMemory, cell_paddr: int, shape: ObjectShape, mark: int
-    ) -> int:
-        """Write metadata for a fresh object; returns the *physical* address
-        of the status word (callers convert to virtual for references)."""
-        mem.write_word(cell_paddr, make_scan_word(shape.n_refs, shape.is_array))
-        mem.fill(cell_paddr + WORD_BYTES, shape.n_refs, 0)  # null refs
-        status_paddr = cell_paddr + WORD_BYTES * (1 + shape.n_refs)
-        mem.write_word(
-            status_paddr, make_header(shape.n_refs, shape.is_array, mark=mark)
-        )
-        return status_paddr
+    def metadata_words(shape: ObjectShape, mark: int) -> List[int]:
+        """The scan word, the null reference fields and the status word of
+        a fresh object, in cell order; raises for an invalid shape or mark
+        before anything is written."""
+        n_refs = shape.n_refs
+        words = [0] * (n_refs + 2)
+        words[0] = make_scan_word(n_refs, shape.is_array)
+        words[-1] = make_header(n_refs, shape.is_array, mark=mark)
+        return words
+
+    @staticmethod
+    def initialize(mem: PhysicalMemory, cell_paddr: int,
+                   words: List[int]) -> int:
+        """Write a fresh object's :meth:`metadata_words` at the cell start
+        as one slice; returns the *physical* address of the status word
+        (callers convert to virtual for references)."""
+        n = len(words)
+        # The words are in range by construction, so the store skips
+        # ``write_words``' per-word masking.
+        idx = mem._span(cell_paddr, n)
+        mem.words[idx : idx + n] = words
+        mem.note_dirty(idx, n)
+        return cell_paddr + WORD_BYTES * (n - 1)
 
     @staticmethod
     def status_paddr_from_cell(mem: PhysicalMemory, cell_paddr: int) -> int:

@@ -12,6 +12,7 @@ Cell sizes are in 8-byte words and include the two metadata words
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Sequence
 
 from repro.memory.config import WORD_BYTES
@@ -44,9 +45,9 @@ class SizeClassTable:
 
     def class_for(self, n_words: int) -> int:
         """Smallest size class whose cells fit ``n_words``; raises if none."""
-        for index, cell_words in enumerate(self.classes_words):
-            if cell_words >= n_words:
-                return index
+        index = bisect_left(self.classes_words, n_words)
+        if index < len(self.classes_words):
+            return index
         raise ValueError(
             f"object of {n_words} words exceeds the largest size class "
             f"({self.max_words} words); allocate it in the large object space"

@@ -25,7 +25,7 @@ array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -78,12 +78,12 @@ class PhysicalMemory:
 
     def note_dirty(self, index: int, count: int = 1) -> None:
         """Record an out-of-band write of ``count`` words at word ``index``."""
-        if count == 1:
-            self._dirty_blocks.add(index >> _BLOCK_SHIFT)
+        first = index >> _BLOCK_SHIFT
+        last = (index + count - 1) >> _BLOCK_SHIFT
+        if first == last:
+            self._dirty_blocks.add(first)
         else:
-            self._dirty_blocks.update(
-                range(index >> _BLOCK_SHIFT,
-                      ((index + count - 1) >> _BLOCK_SHIFT) + 1))
+            self._dirty_blocks.update(range(first, last + 1))
 
     def _index(self, addr: int) -> int:
         if addr % WORD_BYTES != 0:
@@ -132,9 +132,11 @@ class PhysicalMemory:
 
     def _span(self, addr: int, count: int) -> int:
         """Word index of ``addr``, checking that ``count`` words fit there."""
-        idx = self._index(addr)
+        if addr % WORD_BYTES or not 0 <= addr < self.size_bytes:
+            self._index(addr)
         if count < 0:
             raise ValueError(f"negative word count: {count}")
+        idx = addr // WORD_BYTES
         if idx + count > len(self.words):
             raise IndexError(f"bulk access past end: {addr:#x} +{count} words")
         return idx
@@ -146,11 +148,34 @@ class PhysicalMemory:
 
     def write_words(self, addr: int, values: Iterable[int]) -> None:
         """Write consecutive words starting at ``addr``."""
-        vals = [np.uint64(v & _U64_MASK) for v in values]
+        vals = [v & _U64_MASK for v in values]
         idx = self._span(addr, len(vals))
         if vals:
             self.words[idx : idx + len(vals)] = vals
             self.note_dirty(idx, len(vals))
+
+    def scatter(self, indices: Sequence[int], values: Sequence[int]) -> None:
+        """Store ``values[k]`` at word index ``indices[k]`` for every ``k``
+        in one numpy store, marking every block written dirty.
+
+        Values must lie in ``[0, 2**64)``. A repeated index keeps the value
+        stored last.
+        """
+        if len(indices) != len(values):
+            raise ValueError(f"{len(indices)} indices for {len(values)} "
+                             "values")
+        if not len(indices):
+            return
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.min() < 0 or idx.max() >= len(self.words):
+            raise IndexError(f"scatter index out of range: "
+                             f"[{idx.min()}, {idx.max()}] in "
+                             f"{len(self.words)} words")
+        self.words[idx] = np.asarray(values, dtype=np.uint64)
+        # ``bincount`` rather than ``np.unique``, whose first call imports
+        # ``numpy.ma`` (a megabyte of peak memory).
+        self._dirty_blocks.update(
+            np.flatnonzero(np.bincount(idx >> _BLOCK_SHIFT)).tolist())
 
     def fill(self, addr: int, count: int, value: int = 0) -> None:
         """Fill ``count`` words starting at ``addr`` with ``value``."""

@@ -19,12 +19,12 @@ Construction guarantees:
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.heap.heapimage import ManagedHeap
 from repro.heap.layout import ObjectShape
-from repro.heap.objectmodel import ObjectView
 from repro.memory.config import MemorySystemConfig
 from repro.workloads.profiles import BenchmarkProfile
 
@@ -109,52 +109,55 @@ class HeapGraphBuilder:
             heap = ManagedHeap(config=self.config or self._default_config(n))
 
         # 1. Allocate MarkSweep-space objects.
-        views: List[ObjectView] = []
-        for _ in range(n):
-            views.append(heap.view(heap.alloc(self._sample_shape(rng))))
+        alloc = heap.alloc
+        objects = [alloc(self._sample_shape(rng)) for _ in range(n)]
 
         # 2. Large-object-space arrays.
         n_los = max(0, int(n * p.los_fraction))
         for _ in range(n_los):
             refs = rng.randint(*self._LOS_REFS_RANGE)
-            views.append(
-                heap.view(heap.alloc(ObjectShape(refs, 2, is_array=True)))
-            )
+            objects.append(alloc(ObjectShape(refs, 2, is_array=True)))
 
         # 3. Immortal statics (always roots: "static variables", Fig. 2).
         n_statics = max(4, n // 500)
-        statics: List[ObjectView] = []
-        for _ in range(n_statics):
-            statics.append(heap.new_object(rng.randint(2, 4), 1,
-                                           space="immortal"))
+        statics = [alloc(ObjectShape(rng.randint(2, 4), 1), space="immortal")
+                   for _ in range(n_statics)]
 
-        # Allocation is complete: build the SoA layout sidecar once and bind
-        # it to every view, so the wiring below (n_refs reads and set_ref
-        # writes, several per object) runs on flat-array lookups instead of
-        # re-decoding status words from memory.
+        # Allocation is complete. The wiring below works on reference-slot
+        # word indices from the SoA layout sidecar and collects every
+        # store as an (index, value) pair; one scatter writes them all.
         meta = heap.metadata()
-        for v in views:
-            v.attach_meta(meta)
-        for s in statics:
-            s.attach_meta(meta)
+        slot_of = meta.index
+        n_refs = meta.n_refs
+        ref_base = meta.ref_base_index
+
+        def ref_slots(addr: int) -> range:
+            i = slot_of[addr]
+            return range(ref_base[i], ref_base[i] + n_refs[i])
+
+        # Typed columns: a list would hold a boxed int per entry, over a
+        # megabyte of peak memory for a scale-0.02 heap.
+        store_at = array("q")
+        store_value = array("Q")
+        add_index = store_at.append
+        add_value = store_value.append
 
         # 4. Partition into live / garbage.
-        indices = list(range(len(views)))
+        indices = list(range(len(objects)))
         rng.shuffle(indices)
-        n_live = max(1, int(len(views) * p.live_fraction))
-        live_views = [views[i] for i in indices[:n_live]]
-        garbage_views = [views[i] for i in indices[n_live:]]
+        n_live = max(1, int(len(objects) * p.live_fraction))
+        live = [objects[i] for i in indices[:n_live]]
+        garbage = [objects[i] for i in indices[n_live:]]
 
-        hot = [v.addr for v in live_views[: p.hot_objects]]
+        hot = live[: p.hot_objects]
 
         # 5. Spanning structure over the live set.
-        roots = [s.addr for s in statics]
+        roots = list(statics)
         extra_roots = max(8, int(n_live * p.root_fraction))
-        free_slots: List[Tuple[ObjectView, int]] = []
-        for s in statics:
-            free_slots.extend((s, i) for i in range(s.n_refs))
-        connected: List[ObjectView] = []
-        for v in live_views:
+        free_slots: List[int] = []
+        for addr in statics:
+            free_slots.extend(ref_slots(addr))
+        for addr in live:
             if free_slots:
                 # Mix of uniform and recency-biased parents: shallow
                 # BFS-like fan-out plus deep chains, like real heaps.
@@ -163,48 +166,48 @@ class HeapGraphBuilder:
                                            len(free_slots))
                 else:
                     slot_i = rng.randrange(len(free_slots))
-                parent, ref_i = free_slots.pop(slot_i)
-                parent.set_ref(ref_i, v.addr)
+                add_index(free_slots.pop(slot_i))
+                add_value(addr)
             else:
-                roots.append(v.addr)
-            connected.append(v)
-            free_slots.extend((v, i) for i in range(v.n_refs))
+                roots.append(addr)
+            free_slots.extend(ref_slots(addr))
 
         # 6. Extra roots straight into the live set.
         for _ in range(extra_roots):
-            roots.append(rng.choice(live_views).addr)
+            roots.append(rng.choice(live))
 
         # 7. Fill remaining live slots: nulls, hot refs, or random live refs.
         # Hot references are *bursty*: objects created around the same time
         # tend to share the same hot target (a common class, table or
         # registry object), which is what makes a small recently-marked
         # cache effective (Fig. 21b).
-        live_addrs = [v.addr for v in live_views]
         current_hot = rng.choice(hot) if hot else 0
-        for parent, ref_i in free_slots:
+        for word in free_slots:
             r = rng.random()
             if r < p.null_ref_fraction:
                 continue  # stays null
+            add_index(word)
             if r < p.null_ref_fraction + p.hot_ref_fraction and hot:
                 if rng.random() < 0.2:
                     current_hot = rng.choice(hot)
-                parent.set_ref(ref_i, current_hot)
+                add_value(current_hot)
             else:
-                parent.set_ref(ref_i, rng.choice(live_addrs))
+                add_value(rng.choice(live))
 
         # 8. Garbage structure: spanning chains among garbage plus
         # references into the live set (legal; never marked).
-        garbage_addrs = [v.addr for v in garbage_views]
-        for idx, v in enumerate(garbage_views):
-            for ref_i in range(v.n_refs):
+        for idx, addr in enumerate(garbage):
+            for word in ref_slots(addr):
                 r = rng.random()
                 if r < p.null_ref_fraction:
                     continue
+                add_index(word)
                 if r < 0.6 and idx > 0:
-                    v.set_ref(ref_i, garbage_views[rng.randrange(idx)].addr)
-                elif garbage_addrs:
-                    v.set_ref(ref_i, rng.choice(garbage_addrs))
+                    add_value(garbage[rng.randrange(idx)])
+                else:
+                    add_value(rng.choice(garbage))
 
+        heap.mem.scatter(store_at, store_value)
         heap.set_roots(roots)
 
         built = BuiltHeap(
@@ -212,8 +215,8 @@ class HeapGraphBuilder:
             profile=p,
             scale=self.scale,
             seed=self.seed,
-            live={v.addr for v in live_views} | {s.addr for s in statics},
-            garbage={v.addr for v in garbage_views},
+            live=set(live).union(statics),
+            garbage=set(garbage),
             hot=hot,
             roots=roots,
             rng=rng,

@@ -30,6 +30,26 @@ class TestCLI:
     def test_compare_unknown_benchmark(self, capsys):
         assert main(["compare", "specjbb"]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["run", "fig18"], ["compare", "avrora"], ["trace", "avrora"],
+        ["fault-drill"], ["fleet"],
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("bad,message", [
+        ("0", "--scale must be greater than 0 (got 0.0)"),
+        ("-1", "--scale must be greater than 0 (got -1.0)"),
+        ("nan", "--scale must be greater than 0 (got nan)"),
+        ("1e9", "--scale must be at most 1 (got 1000000000.0)"),
+        ("inf", "--scale must be at most 1 (got inf)"),
+    ])
+    def test_bad_scale_exits_2_naming_the_flag(self, capsys, command, bad,
+                                               message):
+        # Each of these once ran silently at another scale, died with a
+        # traceback, or tried to allocate a 128 PiB image.
+        assert main(command + ["--scale", bad]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert not captured.out
+
     def test_area(self, capsys):
         assert main(["area"]) == 0
         assert "Mark Q." in capsys.readouterr().out

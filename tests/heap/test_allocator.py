@@ -110,3 +110,82 @@ class TestReuseAfterSweep:
         assert alloc.free_cells() > 0
         addr = alloc.alloc(ObjectShape(1, 0))
         assert addr != 0
+
+
+class TestRejectedAlloc:
+    """A rejected allocation changes nothing: no cell leaves a free list,
+    no counter moves and no object is tracked."""
+
+    @staticmethod
+    def _state(heap):
+        a = heap.allocator
+        heads = [heap.block_list.freelist_head(i)
+                 for i in range(len(heap.block_list))]
+        return (heap.check_free_lists(), heads, a._fresh_cursor,
+                a.objects_allocated, a.bytes_allocated, list(heap.objects),
+                list(heap.los_objects), [s.cursor for s in heap.plan])
+
+    @pytest.fixture
+    def heap(self):
+        heap = ManagedHeap(config=MemorySystemConfig(
+            total_bytes=32 * 1024 * 1024))
+        heap.alloc(ObjectShape(1, 0))  # one block with free cells left
+        return heap
+
+    @pytest.mark.parametrize("space", ["auto", "immortal"])
+    def test_invalid_shape_leaks_no_cell(self, heap, space):
+        # A shape that skipped ObjectShape's checks: alloc(ObjectShape(-3, 0))
+        # used to pop a cell and then raise from make_scan_word.
+        bad = tuple.__new__(ObjectShape, (-3, 0, False))
+        before = self._state(heap)
+        with pytest.raises(ValueError, match="reference count"):
+            heap.alloc(bad, space)
+        assert self._state(heap) == before
+
+    def test_bad_mark_value_leaks_no_cell(self, heap):
+        heap.allocator.alloc_mark_value = 2
+        before = self._state(heap)
+        with pytest.raises(ValueError, match="mark"):
+            heap.alloc(ObjectShape(1, 0))
+        assert self._state(heap) == before
+
+    def test_unknown_space_leaks_nothing(self, heap):
+        before = self._state(heap)
+        with pytest.raises(ValueError, match="unknown space"):
+            heap.alloc(ObjectShape(1, 0), space="stack")
+        assert self._state(heap) == before
+
+    def test_oversized_direct_alloc_leaks_no_cell(self, heap):
+        before = self._state(heap)
+        with pytest.raises(ValueError, match="large object space"):
+            heap.allocator.alloc(ObjectShape(300, 0))
+        assert self._state(heap) == before
+
+    def test_out_of_memory_leaks_no_cell(self):
+        mem, alloc = make_allocator(space_bytes=BLOCK_BYTES)
+        shape = ObjectShape(100, 100)  # 256-word cells: 4 per block
+        for _ in range(4):
+            alloc.alloc(shape)
+        counters = (alloc.objects_allocated, alloc.bytes_allocated,
+                    alloc._fresh_cursor, alloc.free_cells())
+        with pytest.raises(OutOfMemoryError):
+            alloc.alloc(shape)
+        assert (alloc.objects_allocated, alloc.bytes_allocated,
+                alloc._fresh_cursor, alloc.free_cells()) == counters
+
+
+class TestCarve:
+    @pytest.mark.parametrize("class_index", range(7))
+    def test_fresh_block_is_threaded_cell_by_cell(self, class_index):
+        mem, alloc = make_allocator()
+        alloc._carve_block(class_index)
+        cell_bytes = alloc.size_classes.cell_bytes(class_index)
+        n_cells = BLOCK_BYTES // cell_bytes
+        base = 256 * 1024
+        links = [mem.read_word(base + i * cell_bytes) for i in range(n_cells)]
+        assert links == [VIRT + base + (i + 1) * cell_bytes
+                         for i in range(n_cells - 1)] + [0]
+        # Nothing but the links was written.
+        block = mem.read_words(base, BLOCK_BYTES // 8)
+        assert sum(1 for w in block if w) == n_cells - 1
+        assert alloc.free_cells() == n_cells

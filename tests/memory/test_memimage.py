@@ -71,6 +71,25 @@ class TestBulk:
         with pytest.raises(IndexError):
             mem.write_words(64 * 1024 - 8, [1, 2])
 
+    def test_scatter(self, mem):
+        mem.scatter([3, 1000, 3], [7, U64, 9])
+        assert mem.read_word(3 * 8) == 9  # a repeated index: last wins
+        assert mem.read_word(1000 * 8) == U64
+        mem.scatter([], [])
+
+    @pytest.mark.parametrize("at,values,error", [
+        ([1, 2], [5], ValueError),
+        ([-1], [5], IndexError),
+        ([64 * 1024 // 8], [5], IndexError),
+        ([1], [-1], OverflowError),
+        ([1], [U64 + 1], OverflowError),
+    ])
+    def test_scatter_rejects_bad_input_before_storing(self, mem, at, values,
+                                                      error):
+        with pytest.raises(error):
+            mem.scatter(at, values)
+        assert not mem.words.any()
+
     def test_fill_rejects_negative_count(self, mem):
         # A negative count used to slice from the end: 8,189 words written
         # with no dirty block recorded.
@@ -292,7 +311,7 @@ _VALUES = st.one_of(st.sampled_from([0, 1, U64]), st.integers(0, U64))
 _OPS = st.lists(
     st.tuples(
         st.sampled_from(["write_word", "write_words", "fill", "fetch_or",
-                         "fetch_and", "note_dirty", "map_linear"]
+                         "fetch_and", "note_dirty", "map_linear", "scatter"]
                         + ["snapshot", "restore"] * 3),
         st.integers(0, 1),                  # which image
         # A word position (block, offset); also picks a snapshot to restore.
@@ -340,6 +359,16 @@ def _run_battery(size, ops):
             mem.words[i:i + count] = np.uint64(value)
             mem.note_dirty(i, count)
             ref[i:i + count] = value
+        elif kind == "scatter":
+            # ``count`` words ``stride`` apart, wrapping around the image,
+            # so stores cross blocks and may repeat an index (the last
+            # store to it wins).
+            stride = 1 + value % 4500
+            at = [(i + k * stride) % n for k in range(count)]
+            values = [(value + k) & U64 for k in range(count)]
+            mem.scatter(at, values)
+            for k in range(count):
+                ref[at[k]] = values[k]
         elif kind == "map_linear":
             # The page-table layout is not modelled here: the reference
             # adopts the image's words, and a missed dirty block shows up
@@ -389,6 +418,11 @@ NAMED_SEQUENCES = {
                                      ("snapshot", 0, (0, 0), 0, 0),
                                      ("write_word", 0, (0, 1), 0, 0),
                                      ("restore", 0, (0, 1), 0, 0)],
+    # A scatter after a snapshot must mark its blocks dirty, or the
+    # restore leaves them as they are.
+    "scatter dirty": [("snapshot", 0, (0, 0), 0, 0),
+                      ("scatter", 0, (2, 5), 3, 7),
+                      ("restore", 0, (0, 0), 0, 0)],
     # A dirty block the snapshot leaves out must be zeroed.
     "zeroing": [("snapshot", 0, (0, 0), 0, 0),
                 ("fill", 0, (0, 0), BLOCK_WORDS, 3),
